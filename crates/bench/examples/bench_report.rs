@@ -1,7 +1,8 @@
 //! Machine-readable Cypher benchmark report.
 //!
 //! Runs the query-engine-bound paper benchmarks (figure 5, figure 6,
-//! table 5) serially and at the configured parallel thread count, and
+//! table 5, and single `analytics` study queries) serially and at the
+//! configured parallel thread count, and
 //! writes `BENCH_cypher.json` — bench name → ns/op per thread count,
 //! plus graph scale and git revision — for before/after comparisons in
 //! `EXPERIMENTS.md`.
@@ -13,8 +14,10 @@
 
 use iyp_bench::build_iyp;
 use iyp_core::crawlers::RANKING_TRANCO;
-use iyp_core::studies::dns_robustness::{shared_infrastructure, Q_NS_BGP_PREFIXES};
-use iyp_core::studies::spof_study;
+use iyp_core::studies::dns_robustness::{
+    shared_infrastructure, Q_DOMAIN_NS_IPS, Q_NS_BGP_PREFIXES,
+};
+use iyp_core::studies::{insights, ripki, spof, spof_study};
 use iyp_core::Iyp;
 use serde_json::json;
 use std::hint::black_box;
@@ -132,8 +135,27 @@ fn cache_bench(hub: &iyp_core::Graph) -> serde_json::Value {
 
 type Bench<'a> = (&'static str, Box<dyn FnMut() + 'a>);
 
+/// Single study queries from the benchmark's `analytics` workload:
+/// three large ones that partition well and two small ones that pay
+/// the thread start-up cost for little work.
+const ANALYTICS_QUERIES: [(&str, &str); 5] = [
+    ("analytics/zone_hosting", spof::Q_ZONE_HOSTING),
+    ("analytics/dependency_edges", spof::Q_DEPENDENCY_EDGES),
+    ("analytics/domain_ns_ips", Q_DOMAIN_NS_IPS),
+    ("analytics/cdn_pfx", insights::Q_CDN_PREFIXES),
+    ("analytics/prefix_rpki", ripki::Q_PREFIX_RPKI),
+];
+
 fn benches(iyp: &Iyp) -> Vec<Bench<'_>> {
-    vec![
+    let analytics = ANALYTICS_QUERIES.map(|(name, q)| -> Bench<'_> {
+        (
+            name,
+            Box::new(move || {
+                black_box(iyp.query(q).unwrap().rows.len());
+            }),
+        )
+    });
+    let mut all: Vec<Bench<'_>> = vec![
         (
             "fig5_spof_country/tranco",
             Box::new(|| {
@@ -158,7 +180,9 @@ fn benches(iyp: &Iyp) -> Vec<Bench<'_>> {
                 black_box(shared_infrastructure(iyp.graph()));
             }),
         ),
-    ]
+    ];
+    all.extend(analytics);
+    all
 }
 
 fn main() {

@@ -390,14 +390,12 @@ pub fn query_engine_md() -> String {
     }
     s.push_str(
         "\n## Thread configuration\n\n\
-         Thread count resolution, highest precedence first:\n\n\
-         1. the `--threads N` flag (`iyp query`, `iyp profile`,\n\
-         \x20\x20\x20`iyp serve`, or `iyp_cypher::set_threads` in code);\n\
-         2. the `IYP_CYPHER_THREADS` environment variable;\n\
-         3. available hardware parallelism, capped at 8.\n\n\
-         On a single-core host the engine therefore stays serial unless\n\
-         explicitly told otherwise — the right default, since threads\n\
-         only help when cores do. The server additionally caps in-flight\n\
+         The engine uses the host's available parallelism, capped at 8\n\
+         and resolved once per process; there is no flag or environment\n\
+         variable for it. A single-core host therefore runs serially,\n\
+         since threads only help when cores do. Tests and benches pin a\n\
+         serial reference in process with `iyp_cypher::set_threads`.\n\
+         The server additionally caps in-flight\n\
          connection handlers (`--max-conns`, default 64); connections\n\
          over the cap get a structured `busy` error and are counted in\n",
     );

@@ -5,10 +5,9 @@
 //! (reads only). Chunk results are merged back **in chunk order**, so
 //! parallel execution is result-identical to serial execution.
 //!
-//! Thread count resolution, highest precedence first:
-//! 1. [`set_threads`] (the `--threads` CLI flag);
-//! 2. the `IYP_CYPHER_THREADS` environment variable;
-//! 3. available hardware parallelism, capped at 8.
+//! The thread count is the host's available parallelism, capped at 8
+//! and resolved once per process. [`set_threads`] overrides it in
+//! process, which is how tests and benches pin a serial reference.
 //!
 //! Workers never re-parallelise: nested pattern matches (multi-pattern
 //! `MATCH`, `EXISTS` subqueries) inside a worker run serially.
@@ -16,6 +15,7 @@
 use crate::error::CypherError;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -33,7 +33,7 @@ thread_local! {
 }
 
 /// Overrides the engine thread count for this process (0 clears the
-/// override, returning to `IYP_CYPHER_THREADS` / hardware detection).
+/// override, returning to the host's parallelism).
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
@@ -48,14 +48,14 @@ pub fn threads() -> usize {
     if over != 0 {
         return over.max(1);
     }
-    if let Ok(s) = std::env::var("IYP_CYPHER_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1)
+    // available_parallelism() reads cgroup files (tens of µs): resolve
+    // it once, not on every stage of every query.
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get().min(8))
+            .unwrap_or(1)
+    })
 }
 
 /// Overrides the minimum stage size for parallel execution (tests use
@@ -103,13 +103,10 @@ where
     };
     // The first chunk runs on the calling thread: one fewer spawn, and
     // the caller does useful work instead of blocking in join().
-    let joined: Vec<Result<Vec<R>, CypherError>> = crossbeam::thread::scope(|s| {
+    let joined: Vec<Result<Vec<R>, CypherError>> = std::thread::scope(|s| {
         let handles: Vec<_> = chunks[1..]
             .iter()
-            .map(|chunk| {
-                let chunk: &[T] = chunk;
-                s.spawn(move |_| run_worker(chunk))
-            })
+            .map(|&chunk| s.spawn(move || run_worker(chunk)))
             .collect();
         let mut results = vec![run_worker(chunks[0])];
         results.extend(
@@ -118,8 +115,7 @@ where
                 .map(|h| h.join().expect("cypher worker panicked")),
         );
         results
-    })
-    .expect("cypher worker scope");
+    });
     joined.into_iter().collect()
 }
 

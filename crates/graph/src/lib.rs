@@ -19,6 +19,7 @@
 //! their `reference_name` property — exactly the behaviour §2.3 prescribes.
 
 pub mod algo;
+pub mod codec;
 pub mod error;
 pub mod node;
 pub mod op;

@@ -18,11 +18,10 @@
 //! one, replay fails with [`GraphError::Replay`] instead of silently
 //! diverging.
 
+use crate::codec::{put_props, put_str, put_value, Reader};
 use crate::error::GraphError;
 use crate::node::{NodeId, RelId};
-use crate::snapshot::{get_props, get_str, get_value, put_props, put_str, put_value};
 use crate::value::{KeyValue, Props, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// One logical mutation of the graph, as recorded by a live write.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,42 +132,35 @@ const TAG_CREATE_REL: u8 = 6;
 const TAG_DELETE_REL: u8 = 7;
 const TAG_DELETE_NODE: u8 = 8;
 
-fn put_key_value(buf: &mut BytesMut, kv: &KeyValue) {
+fn put_key_value(buf: &mut Vec<u8>, kv: &KeyValue) {
     match kv {
         KeyValue::Int(i) => {
-            buf.put_u8(0);
-            buf.put_i64_le(*i);
+            buf.push(0);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         KeyValue::Str(s) => {
-            buf.put_u8(1);
+            buf.push(1);
             put_str(buf, s);
         }
     }
 }
 
-fn get_key_value(buf: &mut Bytes) -> Result<KeyValue, GraphError> {
-    if buf.remaining() < 1 {
-        return Err(GraphError::Snapshot("truncated key-value tag".into()));
-    }
-    match buf.get_u8() {
-        0 => {
-            if buf.remaining() < 8 {
-                return Err(GraphError::Snapshot("truncated key-value int".into()));
-            }
-            Ok(KeyValue::Int(buf.get_i64_le()))
-        }
-        1 => Ok(KeyValue::Str(get_str(buf)?)),
+fn get_key_value(r: &mut Reader) -> Result<KeyValue, GraphError> {
+    match r.u8("key-value tag")? {
+        0 => Ok(KeyValue::Int(r.i64("key-value int")?)),
+        1 => Ok(KeyValue::Str(r.str("key-value string")?)),
         t => Err(GraphError::Snapshot(format!("unknown key-value tag {t}"))),
     }
 }
 
 /// Appends the binary encoding of one op to `buf`.
-pub fn encode_op(buf: &mut BytesMut, op: &GraphOp) {
+pub fn encode_op(buf: &mut Vec<u8>, op: &GraphOp) {
+    let put_id = |buf: &mut Vec<u8>, id: u64| buf.extend_from_slice(&id.to_le_bytes());
     match op {
         GraphOp::CreateNode { id, labels, props } => {
-            buf.put_u8(TAG_CREATE_NODE);
-            buf.put_u64_le(id.0);
-            buf.put_u16_le(labels.len() as u16);
+            buf.push(TAG_CREATE_NODE);
+            put_id(buf, id.0);
+            buf.extend_from_slice(&(labels.len() as u16).to_le_bytes());
             for l in labels {
                 put_str(buf, l);
             }
@@ -182,28 +174,28 @@ pub fn encode_op(buf: &mut BytesMut, op: &GraphOp) {
             node,
             created,
         } => {
-            buf.put_u8(TAG_MERGE_NODE);
+            buf.push(TAG_MERGE_NODE);
             put_str(buf, label);
             put_str(buf, key);
             put_key_value(buf, key_value);
             put_props(buf, props);
-            buf.put_u64_le(node.0);
-            buf.put_u8(*created as u8);
+            put_id(buf, node.0);
+            buf.push(*created as u8);
         }
         GraphOp::AddLabel { node, label } => {
-            buf.put_u8(TAG_ADD_LABEL);
-            buf.put_u64_le(node.0);
+            buf.push(TAG_ADD_LABEL);
+            put_id(buf, node.0);
             put_str(buf, label);
         }
         GraphOp::SetNodeProp { node, key, value } => {
-            buf.put_u8(TAG_SET_NODE_PROP);
-            buf.put_u64_le(node.0);
+            buf.push(TAG_SET_NODE_PROP);
+            put_id(buf, node.0);
             put_str(buf, key);
             put_value(buf, value);
         }
         GraphOp::SetRelProp { rel, key, value } => {
-            buf.put_u8(TAG_SET_REL_PROP);
-            buf.put_u64_le(rel.0);
+            buf.push(TAG_SET_REL_PROP);
+            put_id(buf, rel.0);
             put_str(buf, key);
             put_value(buf, value);
         }
@@ -214,105 +206,74 @@ pub fn encode_op(buf: &mut BytesMut, op: &GraphOp) {
             dst,
             props,
         } => {
-            buf.put_u8(TAG_CREATE_REL);
-            buf.put_u64_le(id.0);
-            buf.put_u64_le(src.0);
+            buf.push(TAG_CREATE_REL);
+            put_id(buf, id.0);
+            put_id(buf, src.0);
             put_str(buf, rel_type);
-            buf.put_u64_le(dst.0);
+            put_id(buf, dst.0);
             put_props(buf, props);
         }
         GraphOp::DeleteRel { rel } => {
-            buf.put_u8(TAG_DELETE_REL);
-            buf.put_u64_le(rel.0);
+            buf.push(TAG_DELETE_REL);
+            put_id(buf, rel.0);
         }
         GraphOp::DeleteNode { node } => {
-            buf.put_u8(TAG_DELETE_NODE);
-            buf.put_u64_le(node.0);
+            buf.push(TAG_DELETE_NODE);
+            put_id(buf, node.0);
         }
     }
 }
 
-fn get_u64(buf: &mut Bytes, what: &str) -> Result<u64, GraphError> {
-    if buf.remaining() < 8 {
-        return Err(GraphError::Snapshot(format!("truncated {what}")));
-    }
-    Ok(buf.get_u64_le())
-}
-
-/// Decodes one op from `buf`, advancing it past the encoding.
-pub fn decode_op(buf: &mut Bytes) -> Result<GraphOp, GraphError> {
-    if buf.remaining() < 1 {
-        return Err(GraphError::Snapshot("truncated op tag".into()));
-    }
-    match buf.get_u8() {
+/// Decodes one op from `r`, advancing it past the encoding.
+pub fn decode_op(r: &mut Reader) -> Result<GraphOp, GraphError> {
+    match r.u8("op tag")? {
         TAG_CREATE_NODE => {
-            let id = NodeId(get_u64(buf, "node id")?);
-            if buf.remaining() < 2 {
-                return Err(GraphError::Snapshot("truncated label count".into()));
-            }
-            let n = buf.get_u16_le() as usize;
-            let mut labels = Vec::with_capacity(n);
+            let id = NodeId(r.u64("node id")?);
+            let n = r.u16("label count")? as usize;
+            let mut labels = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
-                labels.push(get_str(buf)?);
+                labels.push(r.str("label")?);
             }
-            let props = get_props(buf)?;
-            Ok(GraphOp::CreateNode { id, labels, props })
-        }
-        TAG_MERGE_NODE => {
-            let label = get_str(buf)?;
-            let key = get_str(buf)?;
-            let key_value = get_key_value(buf)?;
-            let props = get_props(buf)?;
-            let node = NodeId(get_u64(buf, "merge node id")?);
-            if buf.remaining() < 1 {
-                return Err(GraphError::Snapshot("truncated merge flag".into()));
-            }
-            let created = buf.get_u8() != 0;
-            Ok(GraphOp::MergeNode {
-                label,
-                key,
-                key_value,
-                props,
-                node,
-                created,
-            })
-        }
-        TAG_ADD_LABEL => {
-            let node = NodeId(get_u64(buf, "node id")?);
-            let label = get_str(buf)?;
-            Ok(GraphOp::AddLabel { node, label })
-        }
-        TAG_SET_NODE_PROP => {
-            let node = NodeId(get_u64(buf, "node id")?);
-            let key = get_str(buf)?;
-            let value = get_value(buf)?;
-            Ok(GraphOp::SetNodeProp { node, key, value })
-        }
-        TAG_SET_REL_PROP => {
-            let rel = RelId(get_u64(buf, "rel id")?);
-            let key = get_str(buf)?;
-            let value = get_value(buf)?;
-            Ok(GraphOp::SetRelProp { rel, key, value })
-        }
-        TAG_CREATE_REL => {
-            let id = RelId(get_u64(buf, "rel id")?);
-            let src = NodeId(get_u64(buf, "src node")?);
-            let rel_type = get_str(buf)?;
-            let dst = NodeId(get_u64(buf, "dst node")?);
-            let props = get_props(buf)?;
-            Ok(GraphOp::CreateRel {
+            Ok(GraphOp::CreateNode {
                 id,
-                src,
-                rel_type,
-                dst,
-                props,
+                labels,
+                props: r.props()?,
             })
         }
+        TAG_MERGE_NODE => Ok(GraphOp::MergeNode {
+            label: r.str("merge label")?,
+            key: r.str("merge key")?,
+            key_value: get_key_value(r)?,
+            props: r.props()?,
+            node: NodeId(r.u64("merge node id")?),
+            created: r.u8("merge flag")? != 0,
+        }),
+        TAG_ADD_LABEL => Ok(GraphOp::AddLabel {
+            node: NodeId(r.u64("node id")?),
+            label: r.str("label")?,
+        }),
+        TAG_SET_NODE_PROP => Ok(GraphOp::SetNodeProp {
+            node: NodeId(r.u64("node id")?),
+            key: r.str("property key")?,
+            value: r.value()?,
+        }),
+        TAG_SET_REL_PROP => Ok(GraphOp::SetRelProp {
+            rel: RelId(r.u64("rel id")?),
+            key: r.str("property key")?,
+            value: r.value()?,
+        }),
+        TAG_CREATE_REL => Ok(GraphOp::CreateRel {
+            id: RelId(r.u64("rel id")?),
+            src: NodeId(r.u64("src node")?),
+            rel_type: r.str("rel type")?,
+            dst: NodeId(r.u64("dst node")?),
+            props: r.props()?,
+        }),
         TAG_DELETE_REL => Ok(GraphOp::DeleteRel {
-            rel: RelId(get_u64(buf, "rel id")?),
+            rel: RelId(r.u64("rel id")?),
         }),
         TAG_DELETE_NODE => Ok(GraphOp::DeleteNode {
-            node: NodeId(get_u64(buf, "node id")?),
+            node: NodeId(r.u64("node id")?),
         }),
         t => Err(GraphError::Snapshot(format!("unknown op tag {t}"))),
     }
@@ -375,25 +336,23 @@ mod tests {
     #[test]
     fn codec_roundtrips_every_variant() {
         for op in sample_ops() {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_op(&mut buf, &op);
-            let mut bytes = buf.freeze();
-            let back = decode_op(&mut bytes).unwrap();
+            let mut r = Reader::new(&buf);
+            let back = decode_op(&mut r).unwrap();
             assert_eq!(back, op);
-            assert_eq!(bytes.remaining(), 0, "decoder must consume the encoding");
+            assert_eq!(r.remaining(), 0, "decoder must consume the encoding");
         }
     }
 
     #[test]
     fn codec_rejects_truncations() {
         for op in sample_ops() {
-            let mut buf = BytesMut::new();
-            encode_op(&mut buf, &op);
-            let full = buf.freeze();
+            let mut full = Vec::new();
+            encode_op(&mut full, &op);
             for cut in 0..full.len() {
-                let mut partial = Bytes::copy_from_slice(&full.to_vec()[..cut]);
                 assert!(
-                    decode_op(&mut partial).is_err(),
+                    decode_op(&mut Reader::new(&full[..cut])).is_err(),
                     "truncation at {cut} of {} must fail for {}",
                     full.len(),
                     op.name()
@@ -404,7 +363,6 @@ mod tests {
 
     #[test]
     fn codec_rejects_unknown_tag() {
-        let mut bytes = Bytes::copy_from_slice(&[99]);
-        assert!(decode_op(&mut bytes).is_err());
+        assert!(decode_op(&mut Reader::new(&[99])).is_err());
     }
 }

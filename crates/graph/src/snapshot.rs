@@ -5,17 +5,19 @@
 //! workflow for our store, in two formats:
 //!
 //! - **JSON** — human-inspectable, interoperable;
-//! - **binary** — a compact length-prefixed encoding (via [`bytes`]),
-//!   several times smaller and faster, used by the benchmark suite.
+//! - **binary** — a compact length-prefixed little-endian encoding
+//!   (see [`crate::codec`]), several times smaller and faster, used by
+//!   the benchmark suite.
 //!
-//! Both formats roundtrip the complete graph; indexes are rebuilt on load.
+//! Both formats roundtrip the complete graph; indexes are rebuilt on
+//! load, and both loaders reject ids that point outside the decoded
+//! tables instead of panicking on them.
 
+use crate::codec::{put_props, put_str, Reader};
 use crate::error::GraphError;
 use crate::node::{Node, NodeId, Rel, RelId};
 use crate::store::Graph;
 use crate::symbols::{LabelId, RelTypeId, SymbolTable};
-use crate::value::{Props, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::Path;
@@ -47,7 +49,7 @@ pub fn to_json(graph: &Graph) -> Result<String, GraphError> {
 pub fn from_json(json: &str) -> Result<Graph, GraphError> {
     let doc: SnapshotDoc =
         serde_json::from_str(json).map_err(|e| GraphError::Snapshot(e.to_string()))?;
-    Ok(Graph::from_parts(doc.symbols, doc.nodes, doc.rels))
+    Graph::from_parts(doc.symbols, doc.nodes, doc.rels)
 }
 
 /// Writes a JSON snapshot to a file.
@@ -66,143 +68,33 @@ pub fn load_json(path: &Path) -> Result<Graph, GraphError> {
 // Binary format
 // ----------------------------------------------------------------------
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, GraphError> {
-    if buf.remaining() < 4 {
-        return Err(GraphError::Snapshot("truncated string length".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(GraphError::Snapshot("truncated string body".into()));
-    }
-    let b = buf.copy_to_bytes(len);
-    String::from_utf8(b.to_vec()).map_err(|e| GraphError::Snapshot(e.to_string()))
-}
-
-pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(0),
-        Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(*b as u8);
-        }
-        Value::Int(i) => {
-            buf.put_u8(2);
-            buf.put_i64_le(*i);
-        }
-        Value::Float(f) => {
-            buf.put_u8(3);
-            buf.put_f64_le(*f);
-        }
-        Value::Str(s) => {
-            buf.put_u8(4);
-            put_str(buf, s);
-        }
-        Value::List(l) => {
-            buf.put_u8(5);
-            buf.put_u32_le(l.len() as u32);
-            for x in l {
-                put_value(buf, x);
-            }
-        }
-    }
-}
-
-pub(crate) fn get_value(buf: &mut Bytes) -> Result<Value, GraphError> {
-    if buf.remaining() < 1 {
-        return Err(GraphError::Snapshot("truncated value tag".into()));
-    }
-    match buf.get_u8() {
-        0 => Ok(Value::Null),
-        1 => {
-            if buf.remaining() < 1 {
-                return Err(GraphError::Snapshot("truncated bool".into()));
-            }
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        2 => {
-            if buf.remaining() < 8 {
-                return Err(GraphError::Snapshot("truncated int".into()));
-            }
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        3 => {
-            if buf.remaining() < 8 {
-                return Err(GraphError::Snapshot("truncated float".into()));
-            }
-            Ok(Value::Float(buf.get_f64_le()))
-        }
-        4 => Ok(Value::Str(get_str(buf)?)),
-        5 => {
-            if buf.remaining() < 4 {
-                return Err(GraphError::Snapshot("truncated list length".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let mut l = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                l.push(get_value(buf)?);
-            }
-            Ok(Value::List(l))
-        }
-        t => Err(GraphError::Snapshot(format!("unknown value tag {t}"))),
-    }
-}
-
-pub(crate) fn put_props(buf: &mut BytesMut, props: &Props) {
-    buf.put_u32_le(props.len() as u32);
-    for (k, v) in props {
-        put_str(buf, k);
-        put_value(buf, v);
-    }
-}
-
-pub(crate) fn get_props(buf: &mut Bytes) -> Result<Props, GraphError> {
-    if buf.remaining() < 4 {
-        return Err(GraphError::Snapshot("truncated props length".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut props = Props::new();
-    for _ in 0..n {
-        let k = get_str(buf)?;
-        let v = get_value(buf)?;
-        props.insert(k, v);
-    }
-    Ok(props)
-}
-
 /// Serialises the graph to the compact binary snapshot format.
-pub fn to_binary(graph: &Graph) -> Bytes {
+pub fn to_binary(graph: &Graph) -> Vec<u8> {
     let (symbols, nodes, rels) = graph.parts();
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
+    let mut buf = Vec::with_capacity(1 << 16);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
 
     // Symbol table: labels, rel types (prop keys are rebuilt from data).
-    let labels: Vec<&str> = symbols.labels().map(|(_, n)| n).collect();
-    buf.put_u32_le(labels.len() as u32);
-    for l in labels {
+    buf.extend_from_slice(&(symbols.label_count() as u32).to_le_bytes());
+    for (_, l) in symbols.labels() {
         put_str(&mut buf, l);
     }
-    let types: Vec<&str> = symbols.rel_types().map(|(_, n)| n).collect();
-    buf.put_u32_le(types.len() as u32);
-    for t in types {
+    buf.extend_from_slice(&(symbols.rel_type_count() as u32).to_le_bytes());
+    for (_, t) in symbols.rel_types() {
         put_str(&mut buf, t);
     }
 
     // Nodes (adjacency is rebuilt from rels on load).
-    buf.put_u64_le(nodes.len() as u64);
+    buf.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
     for slot in nodes {
         match slot {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(n) => {
-                buf.put_u8(1);
-                buf.put_u16_le(n.labels.len() as u16);
+                buf.push(1);
+                buf.extend_from_slice(&(n.labels.len() as u16).to_le_bytes());
                 for l in &n.labels {
-                    buf.put_u32_le(l.0);
+                    buf.extend_from_slice(&l.0.to_le_bytes());
                 }
                 put_props(&mut buf, &n.props);
             }
@@ -210,35 +102,29 @@ pub fn to_binary(graph: &Graph) -> Bytes {
     }
 
     // Rels.
-    buf.put_u64_le(rels.len() as u64);
+    buf.extend_from_slice(&(rels.len() as u64).to_le_bytes());
     for slot in rels {
         match slot {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(r) => {
-                buf.put_u8(1);
-                buf.put_u32_le(r.rel_type.0);
-                buf.put_u64_le(r.src.0);
-                buf.put_u64_le(r.dst.0);
+                buf.push(1);
+                buf.extend_from_slice(&r.rel_type.0.to_le_bytes());
+                buf.extend_from_slice(&r.src.0.to_le_bytes());
+                buf.extend_from_slice(&r.dst.0.to_le_bytes());
                 put_props(&mut buf, &r.props);
             }
         }
     }
-
-    buf.freeze()
+    buf
 }
 
 /// Loads a graph from the compact binary snapshot format.
 pub fn from_binary(data: &[u8]) -> Result<Graph, GraphError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 5 {
-        return Err(GraphError::Snapshot("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut r = Reader::new(data);
+    if r.bytes(4, "header")? != MAGIC {
         return Err(GraphError::Snapshot("bad magic".into()));
     }
-    let version = buf.get_u8();
+    let version = r.u8("header")?;
     if version != VERSION {
         return Err(GraphError::Snapshot(format!(
             "unsupported version {version}"
@@ -246,51 +132,30 @@ pub fn from_binary(data: &[u8]) -> Result<Graph, GraphError> {
     }
 
     let mut symbols = SymbolTable::new();
-    if buf.remaining() < 4 {
-        return Err(GraphError::Snapshot("truncated label table".into()));
+    for _ in 0..r.u32("label table")? {
+        symbols.label(&r.str("label name")?);
     }
-    let nlabels = buf.get_u32_le();
-    for _ in 0..nlabels {
-        let name = get_str(&mut buf)?;
-        symbols.label(&name);
-    }
-    if buf.remaining() < 4 {
-        return Err(GraphError::Snapshot("truncated type table".into()));
-    }
-    let ntypes = buf.get_u32_le();
-    for _ in 0..ntypes {
-        let name = get_str(&mut buf)?;
-        symbols.rel_type(&name);
+    for _ in 0..r.u32("type table")? {
+        symbols.rel_type(&r.str("type name")?);
     }
 
-    if buf.remaining() < 8 {
-        return Err(GraphError::Snapshot("truncated node count".into()));
-    }
-    let nnodes = buf.get_u64_le() as usize;
-    let mut nodes: Vec<Option<Node>> = Vec::with_capacity(nnodes.min(1 << 24));
+    // Every slot takes at least one byte, which caps what a corrupt
+    // count can reserve.
+    let nnodes = r.u64("node count")? as usize;
+    let mut nodes: Vec<Option<Node>> = Vec::with_capacity(nnodes.min(r.remaining()));
     for i in 0..nnodes {
-        if buf.remaining() < 1 {
-            return Err(GraphError::Snapshot("truncated node".into()));
-        }
-        match buf.get_u8() {
+        match r.u8("node")? {
             0 => nodes.push(None),
             1 => {
-                if buf.remaining() < 2 {
-                    return Err(GraphError::Snapshot("truncated node labels".into()));
-                }
-                let nl = buf.get_u16_le() as usize;
-                let mut labels = Vec::with_capacity(nl);
+                let nl = r.u16("node labels")? as usize;
+                let mut labels = Vec::with_capacity(nl.min(r.remaining()));
                 for _ in 0..nl {
-                    if buf.remaining() < 4 {
-                        return Err(GraphError::Snapshot("truncated label id".into()));
-                    }
-                    labels.push(LabelId(buf.get_u32_le()));
+                    labels.push(LabelId(r.u32("label id")?));
                 }
-                let props = get_props(&mut buf)?;
                 nodes.push(Some(Node {
                     id: NodeId(i as u64),
                     labels,
-                    props,
+                    props: r.props()?,
                     out_rels: Vec::new(),
                     in_rels: Vec::new(),
                 }));
@@ -299,48 +164,23 @@ pub fn from_binary(data: &[u8]) -> Result<Graph, GraphError> {
         }
     }
 
-    if buf.remaining() < 8 {
-        return Err(GraphError::Snapshot("truncated rel count".into()));
-    }
-    let nrels = buf.get_u64_le() as usize;
-    let mut rels: Vec<Option<Rel>> = Vec::with_capacity(nrels.min(1 << 24));
+    let nrels = r.u64("rel count")? as usize;
+    let mut rels: Vec<Option<Rel>> = Vec::with_capacity(nrels.min(r.remaining()));
     for i in 0..nrels {
-        if buf.remaining() < 1 {
-            return Err(GraphError::Snapshot("truncated rel".into()));
-        }
-        match buf.get_u8() {
+        match r.u8("rel")? {
             0 => rels.push(None),
-            1 => {
-                if buf.remaining() < 4 + 8 + 8 {
-                    return Err(GraphError::Snapshot("truncated rel body".into()));
-                }
-                let rel_type = RelTypeId(buf.get_u32_le());
-                let src = NodeId(buf.get_u64_le());
-                let dst = NodeId(buf.get_u64_le());
-                let props = get_props(&mut buf)?;
-                rels.push(Some(Rel {
-                    id: RelId(i as u64),
-                    rel_type,
-                    src,
-                    dst,
-                    props,
-                }));
-            }
+            1 => rels.push(Some(Rel {
+                id: RelId(i as u64),
+                rel_type: RelTypeId(r.u32("rel type")?),
+                src: NodeId(r.u64("rel src")?),
+                dst: NodeId(r.u64("rel dst")?),
+                props: r.props()?,
+            })),
             t => return Err(GraphError::Snapshot(format!("bad rel tag {t}"))),
         }
     }
 
-    // Rebuild adjacency.
-    for slot in rels.iter().filter_map(Option::as_ref) {
-        if let Some(Some(n)) = nodes.get_mut(slot.src.0 as usize) {
-            n.out_rels.push(slot.id);
-        }
-        if let Some(Some(n)) = nodes.get_mut(slot.dst.0 as usize) {
-            n.in_rels.push(slot.id);
-        }
-    }
-
-    Ok(Graph::from_parts(symbols, nodes, rels))
+    Graph::from_parts(symbols, nodes, rels)
 }
 
 /// Writes a binary snapshot to a file.
@@ -358,7 +198,7 @@ pub fn load_binary(path: &Path) -> Result<Graph, GraphError> {
 mod tests {
     use super::*;
     use crate::node::Direction;
-    use crate::value::props;
+    use crate::value::{props, Props, Value};
 
     fn sample_graph() -> Graph {
         let mut g = Graph::new();
@@ -431,7 +271,7 @@ mod tests {
         assert!(from_binary(b"").is_err());
         assert!(from_binary(b"NOPE\x01").is_err());
         assert!(from_binary(b"IYPS\x63").is_err()); // bad version
-        let mut bin = to_binary(&sample_graph()).to_vec();
+        let mut bin = to_binary(&sample_graph());
         bin.truncate(bin.len() / 2);
         assert!(from_binary(&bin).is_err());
     }

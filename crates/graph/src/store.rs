@@ -708,20 +708,71 @@ impl Graph {
     }
 
     /// Internal: reconstructs a graph from snapshot parts, rebuilding all
-    /// indexes.
+    /// indexes and adjacency. Both snapshot loaders come through here,
+    /// so this is where decoded ids are checked: every node and
+    /// relationship must sit at its own id, and every label, type and
+    /// endpoint must exist, or the load fails naming the section.
     pub(crate) fn from_parts(
         mut symbols: SymbolTable,
-        nodes: Vec<Option<Node>>,
+        mut nodes: Vec<Option<Node>>,
         rels: Vec<Option<Rel>>,
-    ) -> Self {
+    ) -> Result<Self, GraphError> {
+        let corrupt = |msg: String| Err(GraphError::Snapshot(msg));
+        for (i, n) in nodes.iter().enumerate() {
+            let Some(n) = n else { continue };
+            if n.id.0 != i as u64 {
+                return corrupt(format!("nodes: slot {i} holds node id {}", n.id.0));
+            }
+            if let Some(l) = n
+                .labels
+                .iter()
+                .find(|l| l.0 as usize >= symbols.label_count())
+            {
+                return corrupt(format!("nodes: node {i} has unknown label id {}", l.0));
+            }
+        }
+        let live = |id: NodeId| matches!(nodes.get(id.0 as usize), Some(Some(_)));
+        for (i, r) in rels.iter().enumerate() {
+            let Some(r) = r else { continue };
+            if r.id.0 != i as u64 {
+                return corrupt(format!("rels: slot {i} holds rel id {}", r.id.0));
+            }
+            if r.rel_type.0 as usize >= symbols.rel_type_count() {
+                return corrupt(format!(
+                    "rels: rel {i} has unknown type id {}",
+                    r.rel_type.0
+                ));
+            }
+            if !live(r.src) || !live(r.dst) {
+                return corrupt(format!(
+                    "rels: rel {i} joins missing nodes {} -> {}",
+                    r.src.0, r.dst.0
+                ));
+            }
+        }
+
         symbols.rebuild_after_load();
+        // Rebuild adjacency: rels in id order reproduces the list order
+        // live writes maintain, in both the untyped and the typed lists.
+        let mut typed_adj = vec![TypedAdj::default(); nodes.len()];
+        for n in nodes.iter_mut().flatten() {
+            n.out_rels.clear();
+            n.in_rels.clear();
+        }
+        for r in rels.iter().flatten() {
+            let (src, dst) = (r.src.0 as usize, r.dst.0 as usize);
+            nodes[src].as_mut().expect("validated").out_rels.push(r.id);
+            nodes[dst].as_mut().expect("validated").in_rels.push(r.id);
+            typed_push(&mut typed_adj[src].out, r.rel_type, r.id);
+            typed_push(&mut typed_adj[dst].inc, r.rel_type, r.id);
+        }
         let mut g = Graph {
             symbols,
             nodes,
             rels,
             label_index: HashMap::new(),
             key_index: HashMap::new(),
-            typed_adj: Vec::new(),
+            typed_adj,
             deleted_nodes: 0,
             deleted_rels: 0,
             recorder: None,
@@ -737,13 +788,6 @@ impl Graph {
             for l in &n.labels {
                 g.label_index.entry(*l).or_default().insert(n.id);
             }
-        }
-        // Rebuild typed adjacency: rels in id order reproduces the same
-        // per-type list order live writes maintain.
-        g.typed_adj = vec![TypedAdj::default(); g.nodes.len()];
-        for r in g.rels.iter().filter_map(Option::as_ref) {
-            typed_push(&mut g.typed_adj[r.src.0 as usize].out, r.rel_type, r.id);
-            typed_push(&mut g.typed_adj[r.dst.0 as usize].inc, r.rel_type, r.id);
         }
         // Rebuild the key index for the conventional identity keys: for
         // every (label, prop) pair where a property is a valid key type,
@@ -784,7 +828,7 @@ impl Graph {
             }
         }
         g.key_index = key_index;
-        g
+        Ok(g)
     }
 }
 

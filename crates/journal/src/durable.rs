@@ -311,7 +311,7 @@ mod tests {
     }
 
     fn graph_bytes(d: &DurableGraph) -> Vec<u8> {
-        d.read(|g| snapshot::to_binary(g).to_vec())
+        d.read(snapshot::to_binary)
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::crc::crc32;
 use crate::error::JournalError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use iyp_graph::codec::Reader;
 use iyp_graph::{op, Graph, GraphOp};
 use iyp_telemetry as telemetry;
 use std::fs::{File, OpenOptions};
@@ -164,12 +164,10 @@ impl WalWriter {
 
 /// Encodes one batch as a complete frame (header + payload).
 pub fn encode_frame(ops: &[GraphOp]) -> Vec<u8> {
-    let mut payload = BytesMut::new();
-    payload.put_u32_le(ops.len() as u32);
+    let mut payload = (ops.len() as u32).to_le_bytes().to_vec();
     for o in ops {
         op::encode_op(&mut payload, o);
     }
-    let payload = payload.freeze();
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -236,15 +234,10 @@ pub fn replay_into(
                 break; // corrupt (partially written) frame
             }
             // CRC-validated payload: decode/apply failures are fatal.
-            let mut buf = Bytes::copy_from_slice(payload);
-            if buf.remaining() < 4 {
-                return Err(JournalError::Replay(iyp_graph::GraphError::Snapshot(
-                    "frame payload shorter than its op count".into(),
-                )));
-            }
-            let count = buf.get_u32_le();
+            let mut r = Reader::new(payload);
+            let count = r.u32("frame op count").map_err(JournalError::Replay)?;
             for _ in 0..count {
-                let graph_op = op::decode_op(&mut buf).map_err(JournalError::Replay)?;
+                let graph_op = op::decode_op(&mut r).map_err(JournalError::Replay)?;
                 graph.apply(&graph_op).map_err(JournalError::Replay)?;
                 report.ops += 1;
             }

@@ -131,14 +131,14 @@ pub fn build_graph(
     // caught on its own thread and fails only its dataset.
     let mut texts: Vec<(DatasetId, Result<String, String>)> =
         Vec::with_capacity(options.datasets.len());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = options
             .datasets
             .iter()
             .map(|&id| {
                 (
                     id,
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         catch_unwind(AssertUnwindSafe(|| world.render_dataset(id)))
                             .map_err(|p| format!("render panicked: {}", panic_message(p)))
                     }),
@@ -151,8 +151,7 @@ pub fn build_graph(
                 .unwrap_or_else(|p| Err(format!("render thread died: {}", panic_message(p))));
             texts.push((id, rendered));
         }
-    })
-    .expect("crossbeam scope");
+    });
 
     // Deterministic import order.
     texts.sort_by_key(|(id, _)| *id);

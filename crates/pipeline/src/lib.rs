@@ -4,8 +4,8 @@
 //!
 //! 1. **Knowledge extraction** — every dataset is rendered by the
 //!    synthetic Internet (`iyp-simnet`) and parsed by its crawler
-//!    (`iyp-crawlers`); dataset texts are produced concurrently with
-//!    `crossbeam` scoped threads, imports are applied in deterministic
+//!    (`iyp-crawlers`); dataset texts are produced concurrently on
+//!    `std::thread::scope` threads, imports are applied in deterministic
 //!    Table 8 order.
 //! 2. **Fusion** — happens implicitly through canonical identifiers and
 //!    `MERGE` semantics in the graph store.

@@ -587,20 +587,34 @@ pub fn snapshot() -> Vec<(String, MetricValue)> {
 pub fn render() -> String {
     let reg = registry();
     let map = reg.as_ref().unwrap();
+    // The text format wants each family's series together under one
+    // `# TYPE` line. Name order alone does not group them (`x_total`
+    // sorts between `x` and `x{..}`), so order by family first; the
+    // stable sort keeps name order within a family.
+    let mut series: Vec<(&str, &str, &String, &Metric)> = map
+        .iter()
+        .map(|(name, metric)| {
+            let (base, labels) = split_labels(name);
+            (base, labels, name, metric)
+        })
+        .collect();
+    series.sort_by_key(|(base, ..)| *base);
     let mut out = String::new();
-    for (name, metric) in map.iter() {
-        let (base, labels) = split_labels(name);
+    let mut family = None;
+    for (base, labels, name, metric) in series {
+        if family != Some(base) {
+            family = Some(base);
+            let kind = match metric {
+                Metric::Counter(_) => "counter",
+                Metric::Gauge(_) => "gauge",
+                Metric::Histogram(_) => "histogram",
+            };
+            out.push_str(&format!("# TYPE {base} {kind}\n"));
+        }
         match metric {
-            Metric::Counter(c) => {
-                out.push_str(&format!("# TYPE {} counter\n", base));
-                out.push_str(&format!("{} {}\n", name, c.get()));
-            }
-            Metric::Gauge(g) => {
-                out.push_str(&format!("# TYPE {} gauge\n", base));
-                out.push_str(&format!("{} {}\n", name, g.get()));
-            }
+            Metric::Counter(c) => out.push_str(&format!("{} {}\n", name, c.get())),
+            Metric::Gauge(g) => out.push_str(&format!("{} {}\n", name, g.get())),
             Metric::Histogram(h) => {
-                out.push_str(&format!("# TYPE {} histogram\n", base));
                 let mut cumulative = 0u64;
                 for (i, bucket) in h.inner.buckets.iter().enumerate() {
                     let n = bucket.load(Ordering::Relaxed);

@@ -5,11 +5,12 @@
 //! ```text
 //! iyp build   [--scale tiny|small|default] [--seed N] [--out FILE] [--journal DIR] [--metrics]
 //!             [--chaos SEED]
-//! iyp query   [--snapshot FILE] [--threads N] '<cypher>'
-//! iyp profile [--snapshot FILE] [--threads N] '<cypher>'
+//! iyp query   [--snapshot FILE] [--cache-mb MB] '<cypher>'
+//! iyp profile [--snapshot FILE] [--cache-mb MB] '<cypher>'
 //! iyp shell   [--snapshot FILE]
-//! iyp serve   [--snapshot FILE] [--addr HOST:PORT] [--threads N] [--max-conns N]
-//!             [--query-timeout SECS] [--journal DIR] [--fsync always|never|every=N]
+//! iyp serve   [--snapshot FILE] [--addr HOST:PORT] [--max-conns N]
+//!             [--query-timeout SECS] [--cache-mb MB] [--journal DIR]
+//!             [--fsync always|never|every=N]
 //! iyp recover --journal DIR [--out FILE]
 //! iyp studies [--snapshot FILE]
 //! iyp datasets
@@ -18,10 +19,9 @@
 //! Without `--snapshot`, commands build a fresh small-scale graph.
 //! With `--journal`, `serve` runs read-write: writes go through a
 //! write-ahead log and survive crashes (see
-//! `documentation/durability.md`). `--threads` caps the Cypher
-//! engine's worker threads (also settable via `IYP_CYPHER_THREADS`;
-//! see `documentation/query-engine.md`), and `--max-conns` bounds
-//! in-flight server connections. `--query-timeout` cancels read
+//! `documentation/durability.md`). The Cypher engine sizes its worker
+//! pool from the host (see `documentation/query-engine.md`), and
+//! `--max-conns` bounds in-flight server connections. `--query-timeout` cancels read
 //! queries past a wall-clock deadline, and `--chaos` injects seeded
 //! faults into the build to exercise the fault-tolerant ETL path (see
 //! `documentation/fault-tolerance.md`).
@@ -44,7 +44,6 @@ struct Args {
     metrics: bool,
     journal: Option<PathBuf>,
     fsync: String,
-    threads: Option<usize>,
     max_conns: Option<usize>,
     query_timeout: Option<std::time::Duration>,
     cache_mb: Option<usize>,
@@ -65,7 +64,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         metrics: false,
         journal: None,
         fsync: "always".into(),
-        threads: None,
         max_conns: None,
         query_timeout: None,
         cache_mb: None,
@@ -92,14 +90,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 args.journal = Some(PathBuf::from(argv.next().ok_or("--journal needs a path")?))
             }
             "--fsync" => args.fsync = argv.next().ok_or("--fsync needs a value")?,
-            "--threads" => {
-                args.threads = Some(
-                    argv.next()
-                        .ok_or("--threads needs a value")?
-                        .parse()
-                        .map_err(|_| "--threads must be an integer")?,
-                )
-            }
             "--max-conns" => {
                 args.max_conns = Some(
                     argv.next()
@@ -492,10 +482,10 @@ fn help() {
 usage:
   iyp build   [--scale tiny|small|default] [--seed N] [--out FILE] [--journal DIR] [--metrics]
               [--chaos SEED]
-  iyp query   [--snapshot FILE] [--threads N] [--cache-mb MB] '<cypher>'
-  iyp profile [--snapshot FILE] [--threads N] [--cache-mb MB] '<cypher>'
+  iyp query   [--snapshot FILE] [--cache-mb MB] '<cypher>'
+  iyp profile [--snapshot FILE] [--cache-mb MB] '<cypher>'
   iyp shell   [--snapshot FILE]
-  iyp serve   [--snapshot FILE] [--addr HOST:PORT] [--threads N] [--max-conns N]
+  iyp serve   [--snapshot FILE] [--addr HOST:PORT] [--max-conns N]
               [--query-timeout SECS] [--cache-mb MB] [--journal DIR]
               [--fsync always|never|every=N]
   iyp recover --journal DIR [--out FILE]
@@ -505,12 +495,6 @@ usage:
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    if let Some(n) = args.threads {
-        if n == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        iyp_cypher::set_threads(n);
-    }
     if let Some(mb) = args.cache_mb {
         // Size the process-global result cache (query/profile/shell go
         // through it); `serve` additionally sizes its own per-service
@@ -618,15 +602,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_args_threads_and_max_conns() {
-        let a = parse_args(argv(&["serve", "--threads", "4", "--max-conns", "128"])).unwrap();
-        assert_eq!(a.threads, Some(4));
+    fn parse_args_max_conns() {
+        let a = parse_args(argv(&["serve", "--max-conns", "128"])).unwrap();
         assert_eq!(a.max_conns, Some(128));
         let d = parse_args(argv(&["profile", "RETURN 1"])).unwrap();
-        assert_eq!(d.threads, None);
         assert_eq!(d.max_conns, None);
-        assert!(parse_args(argv(&["serve", "--threads"])).is_err());
-        assert!(parse_args(argv(&["serve", "--threads", "four"])).is_err());
+        assert!(parse_args(argv(&["serve", "--max-conns"])).is_err());
         assert!(parse_args(argv(&["serve", "--max-conns", "-1"])).is_err());
     }
 
@@ -661,12 +642,6 @@ mod tests {
         assert!(parse_args(argv(&["serve", "--cache-mb"])).is_err());
         assert!(parse_args(argv(&["serve", "--cache-mb", "lots"])).is_err());
         assert!(parse_args(argv(&["serve", "--cache-mb", "-4"])).is_err());
-    }
-
-    #[test]
-    fn zero_threads_is_rejected_at_run_time() {
-        let a = parse_args(argv(&["query", "--threads", "0", "RETURN 1"])).unwrap();
-        assert!(run(&a).is_err());
     }
 
     #[test]

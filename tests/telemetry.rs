@@ -190,3 +190,48 @@ fn metrics_exposition_parses_line_by_line() {
         ref other => panic!("unexpected metric type: {other:?}"),
     }
 }
+
+/// The exposition format allows one `# TYPE` line per metric family,
+/// with all of the family's series below it. Labelled series of one
+/// family (one per dataset, say) must share that line, also when
+/// another family's name sorts between them.
+#[test]
+fn metrics_exposition_types_each_family_once() {
+    for dataset in ["a", "b", "c"] {
+        iyp_telemetry::histogram(&format!("iyp_test_family_seconds{{dataset=\"{dataset}\"}}"));
+    }
+    iyp_telemetry::histogram("iyp_test_family_seconds");
+    iyp_telemetry::counter("iyp_test_family_seconds_total");
+    iyp_telemetry::counter("iyp_test_family_seconds_total{dataset=\"a\"}");
+    let text = iyp_telemetry::render();
+
+    let mut families: Vec<(String, String)> = Vec::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("name and kind");
+            assert!(
+                families.iter().all(|(seen, _)| seen != name),
+                "second # TYPE for {name}"
+            );
+            families.push((name.to_string(), kind.to_string()));
+            continue;
+        }
+        let (family, kind) = families.last().expect("sample before any # TYPE");
+        let base = line.split(['{', ' ']).next().unwrap();
+        let suffix = base.strip_prefix(family.as_str()).unwrap_or_else(|| {
+            panic!("{line:?} sits under the # TYPE of {family}");
+        });
+        let allowed: &[&str] = if kind == "histogram" {
+            &["_bucket", "_sum", "_count"]
+        } else {
+            &[""]
+        };
+        assert!(
+            allowed.contains(&suffix),
+            "{line:?} sits under the # TYPE of {family}"
+        );
+    }
+    for family in ["iyp_test_family_seconds", "iyp_test_family_seconds_total"] {
+        assert!(families.iter().any(|(name, _)| name == family), "{family}");
+    }
+}
