@@ -198,7 +198,8 @@ fn main() {
         "graph_engine/hub_typed_expand_query",
         Box::new(|| {
             black_box(
-                iyp_core::cypher::query(&hub, HUB_QUERY, &params)
+                iyp_core::Statement::prepare(HUB_QUERY)
+                    .and_then(|s| s.params(&params).run(&hub))
                     .unwrap()
                     .rows
                     .len(),

@@ -102,7 +102,9 @@ pub fn telemetry_md() -> String {
          server protocol; the plan comes back as a single-column\n\
          (`plan`) result set, one row per line. Write queries (`CREATE`,\n\
          `MERGE`, `SET`, `DELETE`) reject both keywords.\n\n\
-         For Listing 1 of the paper the planner produces:\n\n\
+         The plan printed is the plan that runs: the query compiles to\n\
+         a chain of operators, each operator's child is its input, and\n\
+         the executor walks that chain. For Listing 1 of the paper:\n\n\
          ```text\n",
     );
     let mut g = iyp_graph::Graph::new();
@@ -112,17 +114,20 @@ pub fn telemetry_md() -> String {
         .expect("sample rel");
     let listing1 = "MATCH (x:AS)-[:ORIGINATE]-(:Prefix) RETURN DISTINCT x.asn";
     writeln!(s, "EXPLAIN {listing1}\n").expect("write to string");
-    let plan = iyp_cypher::explain(&g, listing1).expect("listing 1 plans");
+    let plan = iyp_cypher::Statement::prepare(listing1)
+        .expect("parses")
+        .explain(&g);
     s.push_str(&plan.render());
     s.push_str(
         "\n```\n\n\
          Operators: `ProduceResults` (projection handed to the caller),\n\
          `Projection`/`Filter`/`Unwind` (one per `WITH`/`WHERE`/`UNWIND`\n\
-         clause), `Match`/`OptionalMatch` (pattern expansion, with its\n\
-         access path as children), `Expand` (relationship traversal),\n\
-         and the anchor choices `BoundVariable`, `NodeIndexSeek`,\n\
-         `NodeByLabelScan`, and `AllNodesScan`. `PROFILE` appends\n\
-         `[rows=N time=X.XXXms]` to each operator.\n\n\
+         clause), `Match`/`OptionalMatch` (one per clause, listing the\n\
+         variables it binds), and per pattern an access operator that\n\
+         finds the anchor (`BoundVariable`, `NodeIndexSeek`,\n\
+         `NodeByLabelScan`, `AllNodesScan`) under an `Expand` showing\n\
+         the full pattern. `PROFILE` adds `rows=N` to every operator,\n\
+         and `time=`, `par=`, `chunks=` to each clause's top one.\n\n\
          ## Metric names\n\n\
          All instrumentation uses the canonical names in\n\
          `iyp_telemetry::names` (durations in seconds, Prometheus\n\
@@ -311,9 +316,12 @@ pub fn query_engine_md() -> String {
          3. `NodeByLabelScan` — a label alone scans only that label's\n\
          \x20\x20\x20nodes.\n\
          4. `AllNodesScan` — no label, no binding: every node.\n\n\
-         The planner picks the anchor end of the pattern the same way,\n\
-         so writing the selective end first is not required. Against a\n\
-         sample graph:\n\n\
+         Ties keep the earlier node. The choice is made once per run,\n\
+         when the statement compiles against the graph with the\n\
+         variables in scope (`WITH` resets them to its aliases), and\n\
+         the executor reads it; `EXISTS { … }` patterns choose against\n\
+         each outer row's bindings. Writing the selective end of a\n\
+         pattern first is not required. Against a sample graph:\n\n\
          ```text\n",
     );
     let mut g = iyp_graph::Graph::new();
@@ -325,9 +333,12 @@ pub fn query_engine_md() -> String {
         "MATCH (a:AS {asn: 2497})-[:ORIGINATE]-(p:Prefix) RETURN p.prefix",
         "MATCH (a:AS)-[:ORIGINATE]-(p) RETURN count(*)",
         "MATCH (n) RETURN count(n)",
+        "MATCH (a:AS) WITH count(a) AS c MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) RETURN c, count(p)",
     ] {
         writeln!(s, "EXPLAIN {q}\n").expect("write to string");
-        let plan = iyp_cypher::explain(&g, q).expect("sample query plans");
+        let plan = iyp_cypher::Statement::prepare(q)
+            .expect("parses")
+            .explain(&g);
         s.push_str(&plan.render());
         s.push('\n');
     }
@@ -525,20 +536,20 @@ pub fn query_cache_md() -> String {
         writeln!(s, "- `{name}` ({kind}) — {help}.").expect("write to string");
     }
     s.push_str(
-        "\n## Migrating to the `Statement` API\n\n\
-         The cache is fronted by a prepared-statement builder; the old\n\
-         free functions remain as thin shims over it.\n\n\
-         | Before | After |\n|---|---|\n\
-         | `query(&g, text, &params)` | `Statement::prepare(text)?.params(&params).run(&g)` |\n\
-         | `query_with_cancel(&g, text, &params, &cancel)` | `Statement::prepare(text)?.params(&params).cancel(&cancel).run(&g)` |\n\
-         | `explain(&g, text)` | `Statement::prepare(text)?.explain(&g)` |\n\
-         | `profile(&g, text, &params)` | `Statement::prepare(text)?.params(&params).profile(&g)` |\n\n\
-         `.cache(&cache)` attaches a specific `QueryCache`;\n\
-         `.no_cache()` opts a statement out even when the global cache\n\
-         is enabled; `run_shared` returns `Arc<ResultSet>` so a cache\n\
-         hit is returned without cloning the rows. Prepared statements\n\
-         are reusable across graphs and parameter sets — preparation\n\
-         only parses.\n\n\
+        "\n## Statement API\n\n\
+         Reads go through one prepared-statement builder:\n\n\
+         ```text\n\
+         Statement::prepare(text)?          // parse once (AST cache)\n\
+         \x20\x20\x20\x20.params(&params)               // $name placeholders\n\
+         \x20\x20\x20\x20.cancel(&cancel)               // deadline, polled per row\n\
+         \x20\x20\x20\x20.cache(&cache) | .no_cache()   // pick or skip a result cache\n\
+         \x20\x20\x20\x20.run(&g) | .run_shared(&g) | .explain(&g) | .profile(&g)\n\
+         ```\n\n\
+         `run_shared` returns `Arc<ResultSet>`, so a cache hit is\n\
+         returned without cloning the rows. Prepared statements are\n\
+         reusable across graphs and parameter sets. Writes go through\n\
+         `query_write(&mut g, text, &params)`, which parses through the\n\
+         same AST cache and never consults a result cache.\n\n\
          On the client side, `Client::query` now returns a typed\n\
          `Result<Table, ClientError>`: a `Table` carries columns plus\n\
          JSON rows, and a `ClientError` carries a stable `code()`\n\
@@ -728,12 +739,18 @@ mod tests {
         ] {
             assert!(page.contains(&format!("`{name}`")), "{name} missing");
         }
-        // Migration table covers every shimmed free function.
-        for before in ["query(", "query_with_cancel(", "explain(", "profile("] {
-            assert!(
-                page.contains(before),
-                "{before} missing from migration table"
-            );
+        // The Statement API section names every builder step.
+        for step in [
+            "Statement::prepare(",
+            ".params(",
+            ".cancel(",
+            ".no_cache()",
+            ".run_shared(",
+            ".explain(",
+            ".profile(",
+            "query_write(",
+        ] {
+            assert!(page.contains(step), "{step} missing from the API section");
         }
         // And the read-path page points here.
         assert!(query_engine_md().contains("documentation/query-cache.md"));

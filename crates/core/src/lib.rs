@@ -28,7 +28,7 @@ pub use iyp_pipeline as pipeline;
 pub use iyp_simnet as simnet;
 pub use iyp_studies as studies;
 
-pub use iyp_cypher::{CypherError, Params, ResultSet, RtVal};
+pub use iyp_cypher::{CypherError, Params, ResultSet, RtVal, Statement};
 pub use iyp_graph::{Graph, GraphError, GraphStats, Props, Value};
 pub use iyp_pipeline::{BuildOptions, BuildReport};
 pub use iyp_simnet::{DatasetId, SimConfig, World};
@@ -104,24 +104,24 @@ impl Iyp {
 
     /// Runs a Cypher query without parameters.
     pub fn query(&self, text: &str) -> Result<ResultSet, CypherError> {
-        iyp_cypher::query(&self.graph, text, &Params::new())
+        Statement::prepare(text)?.run(&self.graph)
     }
 
     /// Runs a Cypher query with parameters.
     pub fn query_with(&self, text: &str, params: &Params) -> Result<ResultSet, CypherError> {
-        iyp_cypher::query(&self.graph, text, params)
+        Statement::prepare(text)?.params(params).run(&self.graph)
     }
 
     /// Builds the execution plan for a query without running it
     /// (`EXPLAIN`).
     pub fn explain(&self, text: &str) -> Result<cypher::PlanNode, CypherError> {
-        iyp_cypher::explain(&self.graph, text)
+        Ok(Statement::prepare(text)?.explain(&self.graph))
     }
 
     /// Runs a query and returns its result together with the plan
     /// annotated with per-operator rows and wall time (`PROFILE`).
     pub fn profile(&self, text: &str) -> Result<(ResultSet, cypher::PlanNode), CypherError> {
-        iyp_cypher::profile(&self.graph, text, &Params::new())
+        Statement::prepare(text)?.profile(&self.graph)
     }
 
     /// Runs a (possibly writing) Cypher query — `CREATE`, `MERGE`,

@@ -11,8 +11,8 @@ pub enum QueryMode {
     Normal,
     /// Return the execution plan without running the query.
     Explain,
-    /// Run the query and return the plan annotated with per-operator
-    /// rows-produced and wall time.
+    /// Run the query and return the plan that ran, with the rows each
+    /// operator produced and each clause's wall time.
     Profile,
 }
 

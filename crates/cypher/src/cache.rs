@@ -14,13 +14,14 @@
 //!   process-unique per store instance, so two graphs that happen to
 //!   share an epoch can never collide.
 //! - A process-global AST cache consulted by
-//!   [`crate::Statement::prepare`], so re-preparing the same text
-//!   skips the parser.
-//! - A process-global [`QueryCache`] (see [`global`]) used by the
-//!   [`crate::query`]-family shims and the CLI. It starts **disabled**
-//!   (capacity 0); enable it with [`QueryCache::set_capacity`] or the
-//!   `IYP_QUERY_CACHE_MB` environment variable. The server builds its
-//!   own instance from `serve --cache-mb N` instead.
+//!   [`crate::Statement::prepare`] and [`crate::query_write`], so
+//!   re-preparing the same text skips the parser.
+//! - A process-global [`QueryCache`] (see [`global`]) used by
+//!   statements that attach no cache of their own, and by the CLI. It
+//!   starts **disabled** (capacity 0); enable it with
+//!   [`QueryCache::set_capacity`] or the `IYP_QUERY_CACHE_MB`
+//!   environment variable. The server builds its own instance from
+//!   `serve --cache-mb N` instead.
 //!
 //! Hits, misses, evictions, and resident bytes are counted in
 //! telemetry (`iyp_cypher_cache_*`). All methods take `&self` and are
@@ -28,7 +29,9 @@
 //! critical sections are hash-map probes, never query execution).
 
 use crate::ast::Query;
+use crate::error::CypherError;
 use crate::exec::{Params, ResultSet};
+use crate::parser::parse;
 use crate::rtval::RtVal;
 use iyp_graph::{Graph, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -257,8 +260,8 @@ impl QueryCache {
     }
 }
 
-/// The process-global result cache used by the [`crate::query`] shims
-/// and [`crate::Statement`] runs that don't attach their own cache.
+/// The process-global result cache used by [`crate::Statement`] runs
+/// that don't attach their own cache.
 /// Starts disabled (capacity 0) unless `IYP_QUERY_CACHE_MB` is set, so
 /// existing workloads keep their exact memory profile until someone
 /// opts in (`--cache-mb` in the CLI).
@@ -273,22 +276,20 @@ pub fn global() -> &'static QueryCache {
     })
 }
 
-/// Parsed-AST cache shared by every [`crate::Statement::prepare`]:
-/// re-preparing the same text returns the same `Arc<Query>` without
-/// touching the parser. Entry count bounded (LRU), content immutable,
-/// so there is nothing to invalidate.
-pub(crate) fn cached_ast(text: &str) -> Option<Arc<Query>> {
-    ast_cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(&text.to_string())
-}
-
-pub(crate) fn store_ast(text: &str, ast: Arc<Query>) {
-    ast_cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(text.to_string(), ast, 1);
+/// Parses `text` through the parsed-AST cache shared by
+/// [`crate::Statement::prepare`] and [`crate::query_write`]: re-parsing
+/// the same text returns the same `Arc<Query>` without touching the
+/// parser. Entry count bounded (LRU), content immutable, so there is
+/// nothing to invalidate.
+pub(crate) fn parse_cached(text: &str) -> Result<Arc<Query>, CypherError> {
+    let asts = || ast_cache().lock().unwrap_or_else(|e| e.into_inner());
+    let key = text.to_string();
+    if let Some(ast) = asts().get(&key) {
+        return Ok(ast);
+    }
+    let ast = Arc::new(parse(text)?);
+    asts().insert(key, Arc::clone(&ast), 1);
+    Ok(ast)
 }
 
 fn ast_cache() -> &'static Mutex<Lru<String, Arc<Query>>> {

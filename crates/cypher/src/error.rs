@@ -40,3 +40,9 @@ impl fmt::Display for CypherError {
 }
 
 impl std::error::Error for CypherError {}
+
+impl From<iyp_graph::GraphError> for CypherError {
+    fn from(e: iyp_graph::GraphError) -> Self {
+        CypherError::runtime(e.to_string())
+    }
+}

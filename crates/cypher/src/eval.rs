@@ -1,6 +1,6 @@
 //! Expression evaluation (non-aggregate).
 
-use crate::ast::{BinOp, Expr, PathPattern, UnaryOp};
+use crate::ast::{BinOp, Expr, UnaryOp};
 use crate::error::CypherError;
 use crate::rtval::RtVal;
 use iyp_graph::{Graph, Value};
@@ -9,32 +9,26 @@ use std::collections::HashMap;
 /// A row of variable bindings.
 pub type Row = HashMap<String, RtVal>;
 
-/// Callback used to evaluate `EXISTS { … }` subqueries; installed by
-/// the executor (which owns the pattern matcher). `Sync` because the
-/// parallel matcher evaluates predicates from worker threads.
-pub type ExistsHook<'g> =
-    dyn Fn(&[PathPattern], &Row, Option<&Expr>) -> Result<bool, CypherError> + Sync + 'g;
-
 /// Evaluation context: the graph plus query parameters.
 pub struct EvalCtx<'g> {
     /// The graph being queried.
     pub graph: &'g Graph,
     /// Query parameters (`$name`).
     pub params: &'g HashMap<String, Value>,
-    /// `EXISTS { … }` evaluator, when running under the executor.
-    pub exists: Option<&'g ExistsHook<'g>>,
     /// Deadline/cancel token, polled at row boundaries.
     pub cancel: Option<&'g crate::cancel::Cancel>,
+    /// Whether the executor records `PROFILE` row counts.
+    pub profile: bool,
 }
 
 impl<'g> EvalCtx<'g> {
-    /// A context with no `EXISTS` hook and no cancel token.
+    /// A context with no cancel token, not profiling.
     pub fn new(graph: &'g Graph, params: &'g HashMap<String, Value>) -> EvalCtx<'g> {
         EvalCtx {
             graph,
             params,
-            exists: None,
             cancel: None,
+            profile: false,
         }
     }
 
@@ -137,15 +131,10 @@ impl<'g> EvalCtx<'g> {
                     None => Ok(RtVal::null()),
                 }
             }
-            Expr::Exists { patterns, filter } => match self.exists {
-                Some(hook) => {
-                    let found = hook(patterns, row, filter.as_deref())?;
-                    Ok(RtVal::Scalar(Value::Bool(found)))
-                }
-                None => Err(CypherError::runtime(
-                    "EXISTS { … } is not supported in this context",
-                )),
-            },
+            Expr::Exists { patterns, filter } => {
+                let found = crate::exec::exists(self, patterns, filter.as_deref(), row)?;
+                Ok(RtVal::Scalar(Value::Bool(found)))
+            }
         }
     }
 

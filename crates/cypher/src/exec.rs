@@ -1,15 +1,18 @@
-//! Query execution: pattern matching, pipelines, aggregation.
+//! The executor: runs a compiled `Plan` clause by clause over a read
+//! or a write graph — pattern matching, pipelines, aggregation.
 
 use crate::ast::*;
 use crate::cancel::Cancel;
 use crate::error::CypherError;
 use crate::eval::{rt_eq, truth, EvalCtx, Row};
 use crate::par::{self, ParCapture};
-use crate::plan::{annotate, plan_query, ClauseStat, PlanNode};
+use crate::plan::{node_at, pattern_vars, plan_pattern, Access, PatternPlan, Plan, StepStat};
 use crate::rtval::{GroupKey, RtVal};
-use iyp_graph::{Direction, Graph, KeyValue, NodeId, Rel, RelId, Value};
+use crate::write::{self, WriteSummary};
+use iyp_graph::{Direction, Graph, KeyValue, NodeId, Rel, RelId, RelTypeId, Value};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{self, AtomicU64};
 use std::time::Instant;
 
 /// Query parameters.
@@ -68,73 +71,9 @@ impl ResultSet {
     }
 }
 
-/// Parses and executes `text` against `graph` with the given parameters.
-///
-/// Queries prefixed with `EXPLAIN` return their execution plan (one
-/// `plan` column, one row per plan line) without running; `PROFILE`
-/// runs the query and returns the plan annotated with per-operator
-/// rows-produced and wall time.
-///
-/// Thin shim over [`crate::Statement`]; the prepared AST and (when
-/// [`crate::cache::global`] is enabled) the result are served from
-/// their caches.
-pub fn query(graph: &Graph, text: &str, params: &Params) -> Result<ResultSet, CypherError> {
-    crate::Statement::prepare(text)?.params(params).run(graph)
-}
-
-/// Like [`query`], but polls `cancel` at row boundaries (including
-/// inside parallel workers): once the token trips — by deadline or an
-/// explicit [`Cancel::cancel`] — execution stops with
-/// [`CypherError::Timeout`] within one row's worth of work. Results of
-/// queries that finish before the deadline are identical to [`query`].
-pub fn query_with_cancel(
-    graph: &Graph,
-    text: &str,
-    params: &Params,
-    cancel: &Cancel,
-) -> Result<ResultSet, CypherError> {
-    crate::Statement::prepare(text)?
-        .params(params)
-        .cancel(cancel)
-        .run(graph)
-}
-
-/// Builds the execution plan for `text` without running it.
-///
-/// Thin shim over [`crate::Statement::explain`].
-pub fn explain(graph: &Graph, text: &str) -> Result<PlanNode, CypherError> {
-    Ok(crate::Statement::prepare(text)?.explain(graph))
-}
-
-/// Runs `text` and returns both its result and the execution plan
-/// annotated with per-operator rows-produced and wall time.
-///
-/// Thin shim over [`crate::Statement::profile`].
-pub fn profile(
-    graph: &Graph,
-    text: &str,
-    params: &Params,
-) -> Result<(ResultSet, PlanNode), CypherError> {
-    crate::Statement::prepare(text)?
-        .params(params)
-        .profile(graph)
-}
-
-pub(crate) fn run_profiled(
-    graph: &Graph,
-    ast: &Query,
-    params: &Params,
-    cancel: Option<&Cancel>,
-) -> Result<(ResultSet, PlanNode), CypherError> {
-    let mut stats = Vec::with_capacity(ast.clauses.len());
-    let result = execute_observed(graph, ast, params, Some(&mut stats), cancel)?;
-    let plan = annotate(plan_query(graph, ast), &stats);
-    Ok((result, plan))
-}
-
 /// Shapes a rendered plan as a result set: one `plan` column, one row
 /// per plan line (so plans flow through the text protocol unchanged).
-pub(crate) fn plan_result(plan: &PlanNode) -> ResultSet {
+pub(crate) fn plan_result(plan: &crate::PlanNode) -> ResultSet {
     ResultSet {
         columns: vec!["plan".to_string()],
         rows: plan
@@ -145,77 +84,50 @@ pub(crate) fn plan_result(plan: &PlanNode) -> ResultSet {
     }
 }
 
-/// Executes a parsed query.
-pub fn execute(graph: &Graph, ast: &Query, params: &Params) -> Result<ResultSet, CypherError> {
-    execute_observed(graph, ast, params, None, None)
+/// The graph a plan runs over: shared for reads, exclusive when the
+/// query may write.
+pub(crate) enum Target<'g> {
+    Read(&'g Graph),
+    Write(&'g mut Graph),
 }
 
-/// Executes the clause pipeline; when `stats` is provided, records
-/// `(rows_produced, wall_time)` for every clause in pipeline order
-/// (the `PROFILE` observer). When `cancel` is provided, it is polled
-/// at row boundaries throughout the pipeline.
-pub(crate) fn execute_observed(
-    graph: &Graph,
-    ast: &Query,
+/// Runs a compiled plan. Read steps run on either target; write steps
+/// need [`Target::Write`]. `cancel` is polled at row boundaries
+/// throughout. With `profile`, every step records its rows, wall time
+/// and parallel stages, and every pattern its operators' rows, on the
+/// plan itself (see [`Plan::tree`]).
+///
+/// A read query must end in `RETURN`; a write query without one returns
+/// an empty result.
+pub(crate) fn run(
+    mut target: Target<'_>,
+    plan: &mut Plan<'_>,
     params: &Params,
-    mut stats: Option<&mut Vec<ClauseStat>>,
     cancel: Option<&Cancel>,
-) -> Result<ResultSet, CypherError> {
-    // EXISTS subqueries re-enter the matcher with a hook-less inner
-    // context (one level of nesting; EXISTS-inside-EXISTS is rejected).
-    let exists_hook = move |patterns: &[PathPattern],
-                            row: &crate::eval::Row,
-                            filter: Option<&Expr>|
-          -> Result<bool, CypherError> {
-        let inner = EvalCtx {
-            graph,
-            params,
-            exists: None,
-            cancel,
-        };
-        let mut matches: Vec<(crate::eval::Row, HashSet<RelId>)> =
-            vec![(row.clone(), HashSet::new())];
-        for pattern in patterns {
-            let mut next = Vec::new();
-            for (r, used) in matches {
-                match_pattern(&inner, &r, &used, pattern, &mut next, None)?;
-            }
-            matches = next;
-            if matches.is_empty() {
-                return Ok(false);
-            }
-        }
-        match filter {
-            None => Ok(!matches.is_empty()),
-            Some(f) => {
-                for (r, _) in matches {
-                    if truth(&inner.eval(f, &r)?) == Some(true) {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-        }
-    };
-    let ctx = EvalCtx {
-        graph,
-        params,
-        exists: Some(&exists_hook),
-        cancel,
-    };
+    profile: bool,
+) -> Result<(ResultSet, WriteSummary), CypherError> {
     let mut rows: Vec<Row> = vec![Row::new()];
     let mut result: Option<ResultSet> = None;
+    let mut summary = WriteSummary::default();
 
-    for clause in &ast.clauses {
-        let started = stats.as_ref().map(|_| Instant::now());
+    for step in &mut plan.steps {
+        let started = profile.then(Instant::now);
         let mut cap = ParCapture::default();
-        match clause {
-            Clause::Match { optional, patterns } => {
-                rows = exec_match(&ctx, rows, patterns, *optional, Some(&mut cap))?;
+        let graph: &Graph = match &target {
+            Target::Read(g) => g,
+            Target::Write(g) => g,
+        };
+        let ctx = EvalCtx {
+            graph,
+            params,
+            cancel,
+            profile,
+        };
+        match step.clause {
+            Clause::Match { optional, .. } => {
+                rows = exec_match(&ctx, rows, &step.patterns, *optional, Some(&mut cap))?;
             }
-            Clause::Where(expr) => {
-                rows = exec_where(&ctx, rows, expr, Some(&mut cap))?;
-            }
+            Clause::Where(expr) => rows = exec_where(&ctx, rows, expr, Some(&mut cap))?,
             Clause::Unwind { expr, var } => {
                 let mut out = Vec::new();
                 for row in rows {
@@ -228,7 +140,7 @@ pub(crate) fn execute_observed(
                         }
                     } else if !v.is_null() {
                         // UNWIND of a non-list single value yields one row.
-                        let mut r = row.clone();
+                        let mut r = row;
                         r.insert(var.clone(), v);
                         out.push(r);
                     }
@@ -243,74 +155,104 @@ pub(crate) fn execute_observed(
                     .collect();
             }
             Clause::Return(proj) => {
-                let (cols, projected) = project(&ctx, rows, proj)?;
+                let (columns, projected) = project(&ctx, rows, proj)?;
                 result = Some(ResultSet {
-                    columns: cols,
+                    columns,
                     rows: projected,
                 });
                 rows = Vec::new();
             }
-            Clause::Create(_) | Clause::Merge(_) | Clause::Set(_) | Clause::Delete { .. } => {
-                return Err(CypherError::runtime(
-                    "write clauses (CREATE/MERGE/SET/DELETE) need a mutable \
-                     graph — use query_write()",
-                ))
+            _ => {
+                let Target::Write(graph) = &mut target else {
+                    return Err(CypherError::runtime(
+                        "write clauses (CREATE/MERGE/SET/DELETE) need a mutable \
+                         graph — use query_write()",
+                    ));
+                };
+                rows = write::apply(graph, params, step, rows, &mut summary)?;
             }
         }
-        if let Some(collector) = stats.as_deref_mut() {
+        if let Some(started) = started {
             // RETURN drains `rows` into the result set; every other
-            // clause leaves its output in `rows`.
-            let produced = match (&result, clause) {
-                (Some(rs), Clause::Return(_)) => rs.rows.len() as u64,
-                _ => rows.len() as u64,
+            // step leaves its output in `rows`.
+            let produced = match (step.clause, &result) {
+                (Clause::Return(_), Some(rs)) => rs.rows.len(),
+                _ => rows.len(),
             };
-            collector.push(ClauseStat {
-                rows: produced,
-                time: started.expect("profiling start").elapsed(),
-                parallelism: cap.parallelism.max(1),
-                chunk_rows: cap.chunk_rows,
+            step.stat = Some(StepStat {
+                rows: produced as u64,
+                time: started.elapsed(),
+                par: cap,
             });
         }
     }
 
-    result.ok_or_else(|| CypherError::runtime("query did not produce a RETURN"))
+    let result = match (result, target) {
+        (Some(rs), _) => rs,
+        (None, Target::Write(_)) => ResultSet {
+            columns: Vec::new(),
+            rows: Vec::new(),
+        },
+        (None, Target::Read(_)) => {
+            return Err(CypherError::runtime("query did not produce a RETURN"))
+        }
+    };
+    Ok((result, summary))
 }
 
 // ----------------------------------------------------------------------
 // MATCH
 // ----------------------------------------------------------------------
 
-/// Runs a `MATCH` clause over the input rows. When the input row set is
-/// large it is partitioned across worker threads (each row matches
-/// independently); results merge in chunk order, so the output is
-/// identical to serial execution.
-pub(crate) fn exec_match(
+/// Runs one stage over `items`, `f` appending each item's outputs to
+/// `out`. A large stage runs on worker threads in contiguous chunks
+/// merged in chunk order, so its output equals a serial run's, and
+/// `cap` records how many outputs each chunk produced; a serial stage
+/// hands `cap` on to `f` instead, for a nested stage to record into.
+/// The cancel token is polled per item.
+fn stage<T: Sync, R: Send>(
+    ctx: &EvalCtx<'_>,
+    items: &[T],
+    mut cap: Option<&mut ParCapture>,
+    out: &mut Vec<R>,
+    f: impl Fn(&T, &mut Vec<R>, Option<&mut ParCapture>) -> Result<(), CypherError> + Sync,
+) -> Result<(), CypherError> {
+    let threads = par::threads();
+    if !par::should_parallelize(items.len(), threads) {
+        for item in items {
+            ctx.check_cancel()?;
+            f(item, out, cap.as_deref_mut())?;
+        }
+        return Ok(());
+    }
+    let chunks = par::run_chunks(items, threads, |chunk| {
+        let mut local = Vec::new();
+        for item in chunk {
+            ctx.check_cancel()?;
+            f(item, &mut local, None)?;
+        }
+        Ok(local)
+    })?;
+    if let Some(cap) = cap {
+        cap.record(threads, &chunks.iter().map(Vec::len).collect::<Vec<_>>());
+    }
+    out.extend(chunks.into_iter().flatten());
+    Ok(())
+}
+
+/// Runs a `MATCH` clause over the input rows (each row matches
+/// independently).
+fn exec_match(
     ctx: &EvalCtx<'_>,
     rows: Vec<Row>,
-    patterns: &[PathPattern],
+    patterns: &[PatternPlan<'_>],
     optional: bool,
-    mut cap: Option<&mut ParCapture>,
+    cap: Option<&mut ParCapture>,
 ) -> Result<Vec<Row>, CypherError> {
-    let threads = par::threads();
-    if par::should_parallelize(rows.len(), threads) {
-        let chunks = par::run_chunks(&rows, threads, |chunk| {
-            let mut local = Vec::new();
-            for row in chunk {
-                ctx.check_cancel()?;
-                match_row(ctx, row, patterns, optional, &mut local, None)?;
-            }
-            Ok(local)
-        })?;
-        if let Some(cap) = cap.as_deref_mut() {
-            cap.record(threads, &chunks.iter().map(Vec::len).collect::<Vec<_>>());
-        }
-        return Ok(chunks.into_iter().flatten().collect());
-    }
     let mut out = Vec::new();
-    for row in &rows {
-        ctx.check_cancel()?;
-        match_row(ctx, row, patterns, optional, &mut out, cap.as_deref_mut())?;
-    }
+    stage(ctx, &rows, cap, &mut out, |row, out, cap| {
+        match_row(ctx, row, patterns, optional, out, cap)
+    })?;
     Ok(out)
 }
 
@@ -318,16 +260,16 @@ pub(crate) fn exec_match(
 fn match_row(
     ctx: &EvalCtx<'_>,
     row: &Row,
-    patterns: &[PathPattern],
+    patterns: &[PatternPlan<'_>],
     optional: bool,
     out: &mut Vec<Row>,
     mut cap: Option<&mut ParCapture>,
 ) -> Result<(), CypherError> {
     let mut matches: Vec<(Row, HashSet<RelId>)> = vec![(row.clone(), HashSet::new())];
-    for pattern in patterns {
+    for pp in patterns {
         let mut next = Vec::new();
         for (r, used) in matches {
-            match_pattern(ctx, &r, &used, pattern, &mut next, cap.as_deref_mut())?;
+            match_pattern(ctx, &r, &used, pp, &mut next, cap.as_deref_mut())?;
         }
         matches = next;
         if matches.is_empty() {
@@ -337,8 +279,10 @@ fn match_row(
     if matches.is_empty() {
         if optional {
             let mut r = row.clone();
-            for var in pattern_vars(patterns) {
-                r.entry(var).or_insert_with(RtVal::null);
+            for pp in patterns {
+                for var in pattern_vars(pp.pattern) {
+                    r.entry(var.to_string()).or_insert_with(RtVal::null);
+                }
             }
             out.push(r);
         }
@@ -348,135 +292,99 @@ fn match_row(
     Ok(())
 }
 
-/// Runs a `WHERE` clause. Large row sets evaluate the predicate on
-/// worker threads; the kept rows preserve input order exactly.
+/// Runs a `WHERE` clause; the kept rows preserve input order.
 fn exec_where(
     ctx: &EvalCtx<'_>,
     rows: Vec<Row>,
     expr: &Expr,
     cap: Option<&mut ParCapture>,
 ) -> Result<Vec<Row>, CypherError> {
-    let threads = par::threads();
-    if par::should_parallelize(rows.len(), threads) {
-        let verdicts = par::run_chunks(&rows, threads, |chunk| {
-            let mut keep = Vec::with_capacity(chunk.len());
-            for row in chunk {
-                ctx.check_cancel()?;
-                keep.push(truth(&ctx.eval(expr, row)?) == Some(true));
-            }
-            Ok(keep)
-        })?;
-        if let Some(cap) = cap {
-            let kept_per_chunk: Vec<usize> = verdicts
-                .iter()
-                .map(|c| c.iter().filter(|k| **k).count())
-                .collect();
-            cap.record(threads, &kept_per_chunk);
+    let numbered: Vec<(usize, &Row)> = rows.iter().enumerate().collect();
+    let mut kept = Vec::new();
+    stage(ctx, &numbered, cap, &mut kept, |&(i, row), kept, _| {
+        if truth(&ctx.eval(expr, row)?) == Some(true) {
+            kept.push(i);
         }
-        let keep: Vec<bool> = verdicts.into_iter().flatten().collect();
-        return Ok(rows
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(r, k)| k.then_some(r))
-            .collect());
-    }
-    let mut kept = Vec::with_capacity(rows.len());
-    for row in rows {
-        ctx.check_cancel()?;
-        if truth(&ctx.eval(expr, &row)?) == Some(true) {
-            kept.push(row);
-        }
-    }
-    Ok(kept)
+        Ok(())
+    })?;
+    let mut kept = kept.into_iter().peekable();
+    Ok(rows
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, row)| kept.next_if_eq(&i).map(|_| row))
+        .collect())
 }
 
-/// All variable names appearing in the patterns.
-pub(crate) fn pattern_vars(patterns: &[PathPattern]) -> Vec<String> {
-    let mut vars = Vec::new();
-    for p in patterns {
-        if let Some(v) = &p.start.var {
-            vars.push(v.clone());
+/// Evaluates `EXISTS { MATCH patterns [WHERE filter] }` for one row:
+/// true when the patterns match at least once given the row's
+/// bindings. Each pattern anchors the way [`plan_pattern`] decides for
+/// the variables bound at that point.
+pub(crate) fn exists(
+    ctx: &EvalCtx<'_>,
+    patterns: &[PathPattern],
+    filter: Option<&Expr>,
+    row: &Row,
+) -> Result<bool, CypherError> {
+    let mut matches: Vec<(Row, HashSet<RelId>)> = vec![(row.clone(), HashSet::new())];
+    for pattern in patterns {
+        let mut next = Vec::new();
+        for (r, used) in matches {
+            let pp = plan_pattern(ctx.graph, pattern, |v| r.contains_key(v));
+            match_pattern(ctx, &r, &used, &pp, &mut next, None)?;
         }
-        for (rel, node) in &p.hops {
-            if let Some(v) = &rel.var {
-                vars.push(v.clone());
-            }
-            if let Some(v) = &node.var {
-                vars.push(v.clone());
-            }
+        matches = next;
+        if matches.is_empty() {
+            return Ok(false);
         }
     }
-    vars
+    match filter {
+        None => Ok(true),
+        Some(f) => {
+            for (r, _) in matches {
+                if truth(&ctx.eval(f, &r)?) == Some(true) {
+                    return Ok(true);
+                }
+            }
+            Ok(false)
+        }
+    }
 }
 
-/// Matches a single linear pattern, appending `(row, used)` extensions.
-/// Large anchor candidate sets are partitioned across worker threads;
-/// chunk results merge in candidate order, matching serial output.
+/// Matches a single linear pattern from its planned anchor, appending
+/// `(row, used)` extensions; large anchor candidate sets run as a
+/// parallel stage.
 pub(crate) fn match_pattern(
     ctx: &EvalCtx<'_>,
     row: &Row,
     used: &HashSet<RelId>,
-    pattern: &PathPattern,
+    pp: &PatternPlan<'_>,
     out: &mut Vec<(Row, HashSet<RelId>)>,
     cap: Option<&mut ParCapture>,
 ) -> Result<(), CypherError> {
-    // Collect the node patterns as a flat list for anchor selection.
-    let nodes: Vec<&NodePattern> = std::iter::once(&pattern.start)
-        .chain(pattern.hops.iter().map(|(_, n)| n))
-        .collect();
-
-    // Anchor choice: a bound variable beats everything; otherwise the
-    // node with an index-usable inline property; otherwise the node
-    // whose (first) label has the smallest population; otherwise node 0.
-    let mut anchor = 0usize;
-    let mut anchor_kind = AnchorKind::Scan(usize::MAX);
-    for (i, np) in nodes.iter().enumerate() {
-        let kind = classify_anchor(ctx, row, np);
-        if kind.better_than(&anchor_kind) {
-            anchor_kind = kind;
-            anchor = i;
-        }
-    }
-
-    let anchor_np = nodes[anchor];
-    let candidates = anchor_candidates(ctx, row, anchor_np)?;
-    let threads = par::threads();
-    if par::should_parallelize(candidates.len(), threads) {
-        let chunks = par::run_chunks(&candidates, threads, |chunk| {
-            let mut local = Vec::new();
-            for cand in chunk {
-                ctx.check_cancel()?;
-                match_candidate(
-                    ctx, row, used, pattern, anchor, anchor_np, *cand, &mut local,
-                )?;
-            }
-            Ok(local)
-        })?;
-        if let Some(cap) = cap {
-            cap.record(threads, &chunks.iter().map(Vec::len).collect::<Vec<_>>());
-        }
-        out.extend(chunks.into_iter().flatten());
-        return Ok(());
-    }
-    for cand in candidates {
-        ctx.check_cancel()?;
-        match_candidate(ctx, row, used, pattern, anchor, anchor_np, cand, out)?;
+    let before = out.len();
+    let candidates = anchor_candidates(ctx, row, pp)?;
+    stage(ctx, &candidates, cap, out, |&cand, out, _| {
+        match_candidate(ctx, row, used, pp, cand, out)
+    })?;
+    if ctx.profile {
+        let count = |c: &AtomicU64, n: usize| c.fetch_add(n as u64, atomic::Ordering::Relaxed);
+        count(&pp.anchored, candidates.len());
+        count(&pp.matched, out.len() - before);
     }
     Ok(())
 }
 
-/// Expands the pattern from one anchor candidate.
-#[allow(clippy::too_many_arguments)]
+/// Expands the pattern from one anchor candidate that fits the
+/// anchor's node pattern.
 fn match_candidate(
     ctx: &EvalCtx<'_>,
     row: &Row,
     used: &HashSet<RelId>,
-    pattern: &PathPattern,
-    anchor: usize,
-    anchor_np: &NodePattern,
+    pp: &PatternPlan<'_>,
     cand: NodeId,
     out: &mut Vec<(Row, HashSet<RelId>)>,
 ) -> Result<(), CypherError> {
+    let anchor_np = pp.anchor_node();
     if !node_matches(ctx, row, anchor_np, cand)? {
         return Ok(());
     }
@@ -484,91 +392,48 @@ fn match_candidate(
     if let Some(var) = &anchor_np.var {
         r.insert(var.clone(), RtVal::Node(cand));
     }
-    expand(ctx, pattern, anchor, cand, r, used.clone(), out)
+    expand(ctx, pp.pattern, pp.anchor, cand, r, used.clone(), out)
 }
 
-#[derive(Debug, PartialEq, Eq)]
-enum AnchorKind {
-    /// Variable already bound — a single candidate.
-    Bound,
-    /// Inline key-property lookup — a single candidate.
-    IndexLookup,
-    /// Label scan of approximately `n` nodes.
-    Scan(usize),
-}
-
-impl AnchorKind {
-    fn better_than(&self, other: &AnchorKind) -> bool {
-        use AnchorKind::*;
-        match (self, other) {
-            (Bound, Bound) => false,
-            (Bound, _) => true,
-            (IndexLookup, Bound) => false,
-            (IndexLookup, IndexLookup) => false,
-            (IndexLookup, Scan(_)) => true,
-            (Scan(a), Scan(b)) => a < b,
-            (Scan(_), _) => false,
-        }
-    }
-}
-
-fn classify_anchor(ctx: &EvalCtx<'_>, row: &Row, np: &NodePattern) -> AnchorKind {
-    if let Some(var) = &np.var {
-        if row.contains_key(var) {
-            return AnchorKind::Bound;
-        }
-    }
-    if !np.labels.is_empty() && !np.props.is_empty() {
-        return AnchorKind::IndexLookup;
-    }
-    if let Some(first) = np.labels.first() {
-        return AnchorKind::Scan(ctx.graph.label_count(first));
-    }
-    AnchorKind::Scan(ctx.graph.node_count())
-}
-
-/// Candidate node ids for an anchor pattern.
+/// Candidate node ids for a pattern's anchor, by its planned access.
 fn anchor_candidates(
     ctx: &EvalCtx<'_>,
     row: &Row,
-    np: &NodePattern,
+    pp: &PatternPlan<'_>,
 ) -> Result<Vec<NodeId>, CypherError> {
-    if let Some(var) = &np.var {
-        if let Some(v) = row.get(var) {
-            return match v.as_node() {
+    let np = pp.anchor_node();
+    match pp.access {
+        Access::Bound => {
+            let var = np.var.as_deref().unwrap_or_default();
+            let v = row
+                .get(var)
+                .ok_or_else(|| CypherError::runtime(format!("undefined variable `{var}`")))?;
+            match v.as_node() {
                 Some(n) => Ok(vec![n]),
                 None if v.is_null() => Ok(vec![]),
                 None => Err(CypherError::runtime(format!(
                     "variable `{var}` is not a node"
                 ))),
-            };
+            }
         }
-    }
-    // Index lookup via an inline property on a labelled node.
-    if let Some(label) = np.labels.first() {
-        for (key, expr) in &np.props {
-            let v = ctx.eval(expr, row)?;
-            if let Some(scalar) = v.as_scalar() {
-                if let Some(kv) = KeyValue::from_value(scalar) {
-                    if let Some(hit) = ctx.graph.lookup(label, key, kv) {
+        Access::IndexSeek { fallback } => {
+            // The first inline property whose value is a usable key
+            // decides: a hit is the only candidate; a miss (the key may
+            // simply not be this label's identity key) scans.
+            for (key, expr) in &np.props {
+                let v = ctx.eval(expr, row)?;
+                if let Some(kv) = v.as_scalar().and_then(KeyValue::from_value) {
+                    if let Some(hit) = ctx.graph.lookup(&np.labels[0], key, kv) {
                         return Ok(vec![hit]);
                     }
-                    // A usable key that finds nothing may simply not be
-                    // the identity key for this label; fall back to a
-                    // scan only if the lookup index has no entry space.
-                    // (Conservative: scan.)
                     break;
                 }
             }
+            Ok(ctx.graph.nodes_with_label(fallback).collect())
         }
-        let smallest = np
-            .labels
-            .iter()
-            .min_by_key(|l| ctx.graph.label_count(l))
-            .expect("labels non-empty");
-        return Ok(ctx.graph.nodes_with_label(smallest).collect());
+        Access::LabelScan(label) => Ok(ctx.graph.nodes_with_label(label).collect()),
+        Access::AllNodes => Ok(ctx.graph.all_nodes().map(|n| n.id).collect()),
     }
-    Ok(ctx.graph.all_nodes().map(|n| n.id).collect())
 }
 
 /// Checks labels and inline props of a node pattern against a node.
@@ -655,89 +520,60 @@ fn expand(
         // Expansion work stacks can blow up on dense graphs; poll the
         // cancel token per popped state, not just per row.
         ctx.check_cancel()?;
-        if st.right < pattern.hops.len() {
-            // Expand hop `st.right`: from node position st.right to +1.
-            let (rp, np) = &pattern.hops[st.right];
-            let dir = match rp.dir {
-                RelDir::Right => Direction::Outgoing,
-                RelDir::Left => Direction::Incoming,
-                RelDir::Undirected => Direction::Both,
-            };
-            let on_match = |row: Row, used: HashSet<RelId>, node: NodeId| {
-                stack.push(State {
-                    row,
-                    used,
-                    right: st.right + 1,
-                    left: st.left,
-                    right_node: node,
-                    left_node: st.left_node,
-                });
-            };
-            if let Some((min, max)) = rp.var_length {
-                step_var_length(
-                    ctx,
-                    &st.row,
-                    &st.used,
-                    st.right_node,
-                    rp,
-                    np,
-                    dir,
-                    min,
-                    max,
-                    on_match,
-                )?;
-            } else {
-                step(ctx, &st.row, &st.used, st.right_node, rp, np, dir, on_match)?;
-            }
-        } else if st.left > 0 {
-            // Expand hop `st.left - 1` leftward: from node position
-            // st.left to st.left - 1 (directions invert).
-            let hop_idx = st.left - 1;
-            let (rp, np) = (&pattern.hops[hop_idx].0, node_at(pattern, hop_idx));
-            let dir = match rp.dir {
-                RelDir::Right => Direction::Incoming,
-                RelDir::Left => Direction::Outgoing,
-                RelDir::Undirected => Direction::Both,
-            };
-            let on_match = |row: Row, used: HashSet<RelId>, node: NodeId| {
-                stack.push(State {
-                    row,
-                    used,
-                    right: st.right,
-                    left: hop_idx,
-                    right_node: st.right_node,
-                    left_node: node,
-                });
-            };
-            if let Some((min, max)) = rp.var_length {
-                step_var_length(
-                    ctx,
-                    &st.row,
-                    &st.used,
-                    st.left_node,
-                    rp,
-                    np,
-                    dir,
-                    min,
-                    max,
-                    on_match,
-                )?;
-            } else {
-                step(ctx, &st.row, &st.used, st.left_node, rp, np, dir, on_match)?;
-            }
-        } else {
+        // Rightward hops first (node `right` to `right + 1`), then
+        // leftward ones (node `left` to `left - 1`, arrows reversed).
+        let rightward = st.right < pattern.hops.len();
+        if !rightward && st.left == 0 {
             out.push((st.row, st.used));
+            continue;
+        }
+        let (hop, from, np) = if rightward {
+            (st.right, st.right_node, &pattern.hops[st.right].1)
+        } else {
+            (st.left - 1, st.left_node, node_at(pattern, st.left - 1))
+        };
+        let rp = &pattern.hops[hop].0;
+        let dir = match (rp.dir, rightward) {
+            (RelDir::Undirected, _) => Direction::Both,
+            (RelDir::Right, true) | (RelDir::Left, false) => Direction::Outgoing,
+            _ => Direction::Incoming,
+        };
+        let on_match = |row, used, node| {
+            stack.push(if rightward {
+                State {
+                    row,
+                    used,
+                    right: hop + 1,
+                    right_node: node,
+                    ..st
+                }
+            } else {
+                State {
+                    row,
+                    used,
+                    left: hop,
+                    left_node: node,
+                    ..st
+                }
+            })
+        };
+        match rp.var_length {
+            Some((min, max)) => step_var_length(
+                ctx, &st.row, &st.used, from, rp, np, dir, min, max, on_match,
+            )?,
+            None => step(ctx, &st.row, &st.used, from, rp, np, dir, on_match)?,
         }
     }
     Ok(())
 }
 
-/// The node pattern at position `idx` (0 = start).
-fn node_at(pattern: &PathPattern, idx: usize) -> &NodePattern {
-    if idx == 0 {
-        &pattern.start
-    } else {
-        &pattern.hops[idx - 1].1
+/// A single-type pattern's type id, resolved through the interner
+/// once per step; `None` when the type is unknown (it matches
+/// nothing), `Some(None)` when the pattern allows several types.
+fn type_filter(graph: &Graph, rp: &RelPattern) -> Option<Option<RelTypeId>> {
+    match rp.types.as_slice() {
+        [only] => graph.symbols().get_rel_type(only).map(Some),
+        _ => Some(None),
     }
 }
 
@@ -754,14 +590,8 @@ fn step(
     dir: Direction,
     mut push: impl FnMut(Row, HashSet<RelId>, NodeId),
 ) -> Result<(), CypherError> {
-    // Pre-resolve single-type filters through the interner.
-    let type_filter = if rp.types.len() == 1 {
-        match ctx.graph.symbols().get_rel_type(&rp.types[0]) {
-            Some(t) => Some(t),
-            None => return Ok(()), // unknown type matches nothing
-        }
-    } else {
-        None
+    let Some(type_filter) = type_filter(ctx.graph, rp) else {
+        return Ok(());
     };
 
     let bound_rel = rp.var.as_ref().and_then(|v| row.get(v)).cloned();
@@ -825,13 +655,8 @@ fn step_var_length(
     max: u32,
     mut push: impl FnMut(Row, HashSet<RelId>, NodeId),
 ) -> Result<(), CypherError> {
-    let type_filter = if rp.types.len() == 1 {
-        match ctx.graph.symbols().get_rel_type(&rp.types[0]) {
-            Some(t) => Some(t),
-            None => return Ok(()),
-        }
-    } else {
-        None
+    let Some(type_filter) = type_filter(ctx.graph, rp) else {
+        return Ok(());
     };
 
     struct PathState {
@@ -933,18 +758,11 @@ pub(crate) fn project(
             let gk = key.iter().map(RtVal::group_key).collect();
             Ok((key, gk))
         };
-        let threads = par::threads();
-        let keys: Vec<(Vec<RtVal>, Vec<GroupKey>)> = if par::should_parallelize(rows.len(), threads)
-        {
-            par::run_chunks(&rows, threads, |chunk| {
-                chunk.iter().map(&eval_key).collect()
-            })?
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            rows.iter().map(eval_key).collect::<Result<Vec<_>, _>>()?
-        };
+        let mut keys = Vec::with_capacity(rows.len());
+        stage(ctx, &rows, None, &mut keys, |row, out, _| {
+            out.push(eval_key(row)?);
+            Ok(())
+        })?;
         let mut groups: Vec<(Vec<RtVal>, Vec<Row>)> = Vec::new();
         let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
         for (row, (key, gk)) in rows.into_iter().zip(keys) {
@@ -984,18 +802,12 @@ pub(crate) fn project(
             }
             Ok(out_row)
         };
-        let threads = par::threads();
-        if par::should_parallelize(rows.len(), threads) {
-            let outs = par::run_chunks(&rows, threads, |chunk| {
-                chunk.iter().map(&eval_row).collect()
-            })?;
-            produced = outs.into_iter().flatten().zip(rows).collect();
-        } else {
-            for row in rows {
-                let vals = eval_row(&row)?;
-                produced.push((vals, row));
-            }
-        }
+        let mut outs = Vec::with_capacity(rows.len());
+        stage(ctx, &rows, None, &mut outs, |row, out, _| {
+            out.push(eval_row(row)?);
+            Ok(())
+        })?;
+        produced = outs.into_iter().zip(rows).collect();
     }
 
     if proj.distinct {
@@ -1065,58 +877,51 @@ fn eval_aggregated(ctx: &EvalCtx<'_>, expr: &Expr, group: &[Row]) -> Result<RtVa
             distinct,
             args,
         } if is_aggregate_fn(name) => compute_aggregate(ctx, name, *distinct, args, group),
-        _ if !expr.contains_aggregate() => {
-            let repr = group.first().cloned().unwrap_or_default();
-            ctx.eval(expr, &repr)
+        _ => {
+            let mut values = Row::new();
+            let lifted = lift_aggregates(ctx, expr, group, &mut values)?;
+            ctx.eval(&lifted, &values)
         }
+    }
+}
+
+/// `expr` with each aggregate call, and each aggregate-free operand
+/// (evaluated on the group's first row), replaced by a variable bound
+/// to its value in `values`.
+fn lift_aggregates(
+    ctx: &EvalCtx<'_>,
+    expr: &Expr,
+    group: &[Row],
+    values: &mut Row,
+) -> Result<Expr, CypherError> {
+    let mut lift = |e: &Expr| lift_aggregates(ctx, e, group, values);
+    let value = match expr {
+        Expr::Call { name, .. } if is_aggregate_fn(name) => eval_aggregated(ctx, expr, group)?,
+        _ if !expr.contains_aggregate() => ctx.eval(expr, group.first().unwrap_or(&Row::new()))?,
         Expr::Binary(op, a, b) => {
-            let x = eval_aggregated(ctx, a, group)?;
-            let y = eval_aggregated(ctx, b, group)?;
-            // Re-evaluate the binary op over materialised operands.
-            let tmp_expr = Expr::Binary(
-                *op,
-                Box::new(Expr::Var("\u{1}lhs".into())),
-                Box::new(Expr::Var("\u{1}rhs".into())),
-            );
-            let mut row = Row::new();
-            row.insert("\u{1}lhs".into(), x);
-            row.insert("\u{1}rhs".into(), y);
-            ctx.eval(&tmp_expr, &row)
+            return Ok(Expr::Binary(*op, Box::new(lift(a)?), Box::new(lift(b)?)))
         }
-        Expr::Unary(op, a) => {
-            let x = eval_aggregated(ctx, a, group)?;
-            let tmp = Expr::Unary(*op, Box::new(Expr::Var("\u{1}x".into())));
-            let mut row = Row::new();
-            row.insert("\u{1}x".into(), x);
-            ctx.eval(&tmp, &row)
-        }
+        Expr::Unary(op, a) => return Ok(Expr::Unary(*op, Box::new(lift(a)?))),
         Expr::Call {
             name,
             distinct,
             args,
         } => {
-            // Scalar function over aggregated arguments.
-            let mut row = Row::new();
-            let mut new_args = Vec::with_capacity(args.len());
-            for (i, a) in args.iter().enumerate() {
-                let v = eval_aggregated(ctx, a, group)?;
-                let key = format!("\u{1}a{i}");
-                row.insert(key.clone(), v);
-                new_args.push(Expr::Var(key));
-            }
-            ctx.eval(
-                &Expr::Call {
-                    name: name.clone(),
-                    distinct: *distinct,
-                    args: new_args,
-                },
-                &row,
-            )
+            return Ok(Expr::Call {
+                name: name.clone(),
+                distinct: *distinct,
+                args: args.iter().map(lift).collect::<Result<_, _>>()?,
+            })
         }
-        other => Err(CypherError::runtime(format!(
-            "unsupported aggregate expression shape: {other:?}"
-        ))),
-    }
+        other => {
+            return Err(CypherError::runtime(format!(
+                "unsupported aggregate expression shape: {other:?}"
+            )))
+        }
+    };
+    let var = format!("\u{1}{}", values.len());
+    values.insert(var.clone(), value);
+    Ok(Expr::Var(var))
 }
 
 fn compute_aggregate(

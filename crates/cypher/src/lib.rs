@@ -15,7 +15,16 @@
 //!   `percentileCont`), `ORDER BY`, `SKIP` and `LIMIT`;
 //! - scalar functions (`toUpper`, `size`, `coalesce`, `labels`, `type`,
 //!   `id`, `split`, `substring`, `toInteger`, …) and `$parameters`;
-//! - `//` comments, case-insensitive keywords.
+//! - `//` comments, case-insensitive keywords;
+//! - `CREATE`, `MERGE`, `SET` and `[DETACH] DELETE` through
+//!   [`query_write`].
+//!
+//! A query runs in three stages: [`parser`] turns the text into an
+//! [`ast::Query`] (cached per text), [`plan`] compiles it against the
+//! graph into a chain of operators with every pattern's anchor decided,
+//! and [`exec`] walks that chain — the same chain `EXPLAIN` prints and
+//! `PROFILE` reports on. [`Statement`] is the API for reads,
+//! [`query_write`] for writes.
 //!
 //! # Example
 //!
@@ -23,7 +32,7 @@
 //!
 //! ```
 //! use iyp_graph::{Graph, Props};
-//! use iyp_cypher::query;
+//! use iyp_cypher::Statement;
 //!
 //! let mut g = Graph::new();
 //! let a = g.merge_node("AS", "asn", 64496u32, Props::new());
@@ -32,12 +41,12 @@
 //! g.create_rel(a, "ORIGINATE", p, Props::new()).unwrap();
 //! g.create_rel(b, "ORIGINATE", p, Props::new()).unwrap();
 //!
-//! let rs = query(&g, "
+//! let rs = Statement::prepare("
 //!     // Find Prefixes with two originating ASes
 //!     MATCH (x:AS)-[:ORIGINATE]-(p:Prefix)-[:ORIGINATE]-(y:AS)
 //!     WHERE x.asn <> y.asn
 //!     RETURN DISTINCT p.prefix
-//! ", &Default::default()).unwrap();
+//! ").unwrap().run(&g).unwrap();
 //! assert_eq!(rs.rows.len(), 1);
 //! assert_eq!(rs.rows[0][0].as_scalar().unwrap().as_str(), Some("192.0.2.0/24"));
 //! ```
@@ -59,9 +68,9 @@ pub mod write;
 pub use cache::QueryCache;
 pub use cancel::Cancel;
 pub use error::CypherError;
-pub use exec::{explain, profile, query, query_with_cancel, Params, ResultSet};
+pub use exec::{Params, ResultSet};
 pub use par::{set_min_partition, set_threads, threads};
-pub use plan::{ClauseStat, PlanNode};
+pub use plan::PlanNode;
 pub use rtval::{GroupKey, RtVal};
 pub use statement::Statement;
 pub use write::{query_write, WriteSummary};

@@ -24,7 +24,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// spawning workers (spawn cost is ~tens of microseconds per thread).
 static MIN_PARTITION: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_PARTITION);
 
-/// Default for [`min_partition`].
+/// Default minimum stage size (see [`set_min_partition`]).
 pub const DEFAULT_MIN_PARTITION: usize = 128;
 
 thread_local! {
@@ -64,14 +64,9 @@ pub fn set_min_partition(n: usize) {
     MIN_PARTITION.store(n.max(1), Ordering::SeqCst);
 }
 
-/// The current minimum stage size for parallel execution.
-pub fn min_partition() -> usize {
-    MIN_PARTITION.load(Ordering::Relaxed)
-}
-
 /// True when a stage over `len` items should run in parallel.
 pub(crate) fn should_parallelize(len: usize, threads: usize) -> bool {
-    threads > 1 && len >= min_partition()
+    threads > 1 && len >= MIN_PARTITION.load(Ordering::Relaxed)
 }
 
 /// Splits `items` into at most `threads` contiguous chunks and maps

@@ -5,10 +5,33 @@ use crate::error::CypherError;
 use crate::lexer::{tokenize, Token};
 use iyp_graph::Value;
 
+/// The deepest expression tree the parser builds, and the deepest its
+/// own recursion goes (the JSON parser's limit, too). Evaluating or
+/// dropping an expression recurses once per level, so hostile query
+/// text nested deeper gets a parse error instead of a stack overflow.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// An expression with the depth of its tree.
+type Parsed = Result<(Expr, usize), CypherError>;
+
+/// Binding powers of the expression operators, loosest first.
+const OR: u8 = 1;
+const XOR: u8 = 2;
+const AND: u8 = 3;
+const NOT: u8 = 4;
+const CMP: u8 = 5;
+const ADD: u8 = 6;
+const MUL: u8 = 7;
+
 /// Parses a query string into an AST.
 pub fn parse(input: &str) -> Result<Query, CypherError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+        pattern_depth: 0,
+    };
     let q = p.query()?;
     if p.pos < p.tokens.len() {
         return Err(p.err("trailing tokens after query"));
@@ -19,6 +42,11 @@ pub fn parse(input: &str) -> Result<Query, CypherError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current depth of nested sub-expressions (see [`MAX_EXPR_DEPTH`]).
+    nesting: usize,
+    /// Deepest inline-property expression seen in the patterns being
+    /// parsed (for the depth of an `EXISTS` subquery).
+    pattern_depth: usize,
 }
 
 impl Parser {
@@ -367,7 +395,8 @@ impl Parser {
             loop {
                 let key = self.ident("property key")?;
                 self.expect(&Token::Colon, ": in property map")?;
-                let value = self.expr()?;
+                let (value, depth) = self.nested()?;
+                self.pattern_depth = self.pattern_depth.max(depth);
                 props.push((key, value));
                 if !self.eat(&Token::Comma) {
                     break;
@@ -380,149 +409,166 @@ impl Parser {
 
     // ------------------------------------------------------------------
     // Expressions (precedence climbing)
+    //
+    // Every expression function returns the tree with its depth, and
+    // every node is checked against MAX_EXPR_DEPTH as it is built, so
+    // no deeper tree ever exists to be evaluated or dropped (both
+    // recurse once per level). `nesting` bounds the parser's own
+    // recursion through parentheses, lists, calls and subqueries;
+    // operator chains and prefix operators are parsed by loops, so each
+    // nesting level costs a handful of stack frames.
     // ------------------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, CypherError> {
-        self.or_expr()
+        Ok(self.nested()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, CypherError> {
-        let mut lhs = self.xor_expr()?;
-        while self.eat_kw("or") {
-            let rhs = self.xor_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
+    /// Parses a sub-expression one level deeper in the parser's own
+    /// recursion.
+    fn nested(&mut self) -> Parsed {
+        if self.nesting >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
         }
-        Ok(lhs)
+        self.nesting += 1;
+        let out = self.binding(OR);
+        self.nesting -= 1;
+        out
     }
 
-    fn xor_expr(&mut self) -> Result<Expr, CypherError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_kw("xor") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Xor, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn too_deep(&self) -> CypherError {
+        self.err(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        ))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, CypherError> {
-        let mut lhs = self.not_expr()?;
-        while self.eat_kw("and") {
-            let rhs = self.not_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
+    /// An expression node over children of depth `below`.
+    fn node(&self, e: Expr, below: usize) -> Parsed {
+        if below >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
         }
-        Ok(lhs)
+        Ok((e, below + 1))
     }
 
-    fn not_expr(&mut self) -> Result<Expr, CypherError> {
-        if self.eat_kw("not") {
-            let e = self.not_expr()?;
-            return Ok(Expr::Unary(UnaryOp::Not, Box::new(e)));
-        }
-        self.comparison()
+    fn binary(&self, op: BinOp, (a, da): (Expr, usize), (b, db): (Expr, usize)) -> Parsed {
+        self.node(Expr::Binary(op, Box::new(a), Box::new(b)), da.max(db))
     }
 
-    fn comparison(&mut self) -> Result<Expr, CypherError> {
-        let lhs = self.additive()?;
-        // IS NULL / IS NOT NULL
-        if self.at_kw("is") {
-            self.pos += 1;
-            let negated = self.eat_kw("not");
-            self.expect_kw("null")?;
-            return Ok(Expr::IsNull(Box::new(lhs), negated));
-        }
-        // STARTS WITH / ENDS WITH / CONTAINS / IN
-        if self.eat_kw("starts") {
-            self.expect_kw("with")?;
-            let rhs = self.additive()?;
-            return Ok(Expr::Binary(
-                BinOp::StartsWith,
-                Box::new(lhs),
-                Box::new(rhs),
-            ));
-        }
-        if self.eat_kw("ends") {
-            self.expect_kw("with")?;
-            let rhs = self.additive()?;
-            return Ok(Expr::Binary(BinOp::EndsWith, Box::new(lhs), Box::new(rhs)));
-        }
-        if self.eat_kw("contains") {
-            let rhs = self.additive()?;
-            return Ok(Expr::Binary(BinOp::Contains, Box::new(lhs), Box::new(rhs)));
-        }
-        if self.eat_kw("in") {
-            let rhs = self.additive()?;
-            return Ok(Expr::Binary(BinOp::In, Box::new(lhs), Box::new(rhs)));
-        }
-        let op = match self.peek() {
-            Some(Token::Eq) => Some(BinOp::Eq),
-            Some(Token::Neq) => Some(BinOp::Ne),
-            Some(Token::Lt) => Some(BinOp::Lt),
-            Some(Token::Le) => Some(BinOp::Le),
-            Some(Token::Gt) => Some(BinOp::Gt),
-            Some(Token::Ge) => Some(BinOp::Ge),
-            _ => None,
+    /// Precedence climbing over the binary operators, loosest first:
+    /// `OR`, `XOR`, `AND`, prefix `NOT`, one comparison (`=`, `<>`, `<`,
+    /// `<=`, `>`, `>=`, `STARTS WITH`, `ENDS WITH`, `CONTAINS`, `IN`,
+    /// `IS [NOT] NULL`), `+ -`, then `* / % ^`; all left-associative.
+    /// Parses the operators that bind at least as tightly as `min`.
+    fn binding(&mut self, min: u8) -> Parsed {
+        // A `NOT` prefix takes a whole comparison as its operand, which
+        // leaves only AND/XOR/OR to this loop.
+        let (mut lhs, mut ceiling) = if min <= NOT && self.at_kw("not") {
+            (self.negation()?, AND)
+        } else {
+            (self.unary()?, u8::MAX)
         };
-        if let Some(op) = op {
+        while let Some((op, prec)) = self.infix() {
+            if prec < min || prec > ceiling {
+                break;
+            }
             self.pos += 1;
-            let rhs = self.additive()?;
-            return Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, CypherError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => break,
+            // Tighter operators went to the right operand; a comparison
+            // does not chain.
+            ceiling = if prec == CMP { NOT } else { prec };
+            lhs = match op {
+                None => {
+                    let negated = self.eat_kw("not");
+                    self.expect_kw("null")?;
+                    self.node(Expr::IsNull(Box::new(lhs.0), negated), lhs.1)?
+                }
+                Some(op) => {
+                    if matches!(op, BinOp::StartsWith | BinOp::EndsWith) {
+                        self.expect_kw("with")?;
+                    }
+                    let rhs = self.binding(prec + 1)?;
+                    self.binary(op, lhs, rhs)?
+                }
             };
-            self.pos += 1;
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
-    fn multiplicative(&mut self) -> Result<Expr, CypherError> {
-        let mut lhs = self.unary()?;
+    /// `NOT NOT … comparison`.
+    fn negation(&mut self) -> Parsed {
+        let mut nots = 0;
+        while self.eat_kw("not") {
+            nots += 1;
+        }
+        let mut e = self.binding(CMP)?;
+        for _ in 0..nots {
+            e = self.node(Expr::Unary(UnaryOp::Not, Box::new(e.0)), e.1)?;
+        }
+        Ok(e)
+    }
+
+    /// The operator at the cursor and its binding power, without
+    /// consuming it; `None` as the operator stands for `IS [NOT] NULL`.
+    fn infix(&self) -> Option<(Option<BinOp>, u8)> {
+        let keywords = [
+            ("or", BinOp::Or, OR),
+            ("xor", BinOp::Xor, XOR),
+            ("and", BinOp::And, AND),
+            ("starts", BinOp::StartsWith, CMP),
+            ("ends", BinOp::EndsWith, CMP),
+            ("contains", BinOp::Contains, CMP),
+            ("in", BinOp::In, CMP),
+        ];
+        if let Some(&(_, op, prec)) = keywords.iter().find(|(kw, ..)| self.at_kw(kw)) {
+            return Some((Some(op), prec));
+        }
+        if self.at_kw("is") {
+            return Some((None, CMP));
+        }
+        let (op, prec) = match self.peek()? {
+            Token::Eq => (BinOp::Eq, CMP),
+            Token::Neq => (BinOp::Ne, CMP),
+            Token::Lt => (BinOp::Lt, CMP),
+            Token::Le => (BinOp::Le, CMP),
+            Token::Gt => (BinOp::Gt, CMP),
+            Token::Ge => (BinOp::Ge, CMP),
+            Token::Plus => (BinOp::Add, ADD),
+            Token::Minus => (BinOp::Sub, ADD),
+            Token::Star => (BinOp::Mul, MUL),
+            Token::Slash => (BinOp::Div, MUL),
+            Token::Percent => (BinOp::Mod, MUL),
+            Token::Caret => (BinOp::Pow, MUL),
+            _ => return None,
+        };
+        Some((Some(op), prec))
+    }
+
+    fn unary(&mut self) -> Parsed {
+        // Prefix signs: `-` negates, `+` is a no-op.
+        let mut negations = 0;
         loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                Some(Token::Percent) => BinOp::Mod,
-                Some(Token::Caret) => BinOp::Pow,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            if self.eat(&Token::Minus) {
+                negations += 1;
+            } else if !self.eat(&Token::Plus) {
+                break;
+            }
         }
-        Ok(lhs)
+        let mut e = self.postfix()?;
+        for _ in 0..negations {
+            e = self.node(Expr::Unary(UnaryOp::Neg, Box::new(e.0)), e.1)?;
+        }
+        Ok(e)
     }
 
-    fn unary(&mut self) -> Result<Expr, CypherError> {
-        if self.eat(&Token::Minus) {
-            let e = self.unary()?;
-            return Ok(Expr::Unary(UnaryOp::Neg, Box::new(e)));
-        }
-        if self.eat(&Token::Plus) {
-            return self.unary();
-        }
-        self.postfix()
-    }
-
-    fn postfix(&mut self) -> Result<Expr, CypherError> {
+    fn postfix(&mut self) -> Parsed {
         let mut e = self.atom()?;
         loop {
             if self.eat(&Token::Dot) {
                 let key = self.ident("property name")?;
-                e = Expr::Prop(Box::new(e), key);
+                e = self.node(Expr::Prop(Box::new(e.0), key), e.1)?;
             } else if self.eat(&Token::LBracket) {
-                let idx = self.expr()?;
+                let idx = self.nested()?;
                 self.expect(&Token::RBracket, "] after index")?;
-                e = Expr::Index(Box::new(e), Box::new(idx));
+                let below = e.1.max(idx.1);
+                e = self.node(Expr::Index(Box::new(e.0), Box::new(idx.0)), below)?;
             } else {
                 break;
             }
@@ -530,123 +576,138 @@ impl Parser {
         Ok(e)
     }
 
-    fn atom(&mut self) -> Result<Expr, CypherError> {
-        match self.peek().cloned() {
-            Some(Token::Int(i)) => {
-                self.pos += 1;
-                Ok(Expr::Lit(Value::Int(i)))
+    /// A comma-separated list of nested expressions up to `close`, with
+    /// the depth of the deepest.
+    fn expr_list(&mut self, close: &Token) -> Result<(Vec<Expr>, usize), CypherError> {
+        let mut items = Vec::new();
+        let mut depth = 0;
+        if self.peek() != Some(close) {
+            loop {
+                let (e, d) = self.nested()?;
+                items.push(e);
+                depth = depth.max(d);
+                if !self.eat(&Token::Comma) {
+                    break;
+                }
             }
-            Some(Token::Float(f)) => {
-                self.pos += 1;
-                Ok(Expr::Lit(Value::Float(f)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Lit(Value::Str(s)))
-            }
-            Some(Token::Param(p)) => {
-                self.pos += 1;
-                Ok(Expr::Param(p))
-            }
+        }
+        Ok((items, depth))
+    }
+
+    fn atom(&mut self) -> Parsed {
+        let token = self.peek().cloned();
+        if token.is_some() {
+            self.pos += 1;
+        }
+        match token {
+            Some(Token::Int(i)) => Ok((Expr::Lit(Value::Int(i)), 1)),
+            Some(Token::Float(f)) => Ok((Expr::Lit(Value::Float(f)), 1)),
+            Some(Token::Str(s)) => Ok((Expr::Lit(Value::Str(s)), 1)),
+            Some(Token::Param(p)) => Ok((Expr::Param(p), 1)),
             Some(Token::LParen) => {
-                self.pos += 1;
-                let e = self.expr()?;
+                let e = self.nested()?;
                 self.expect(&Token::RParen, ") after expression")?;
                 Ok(e)
             }
-            Some(Token::LBracket) => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() != Some(&Token::RBracket) {
-                    loop {
-                        items.push(self.expr()?);
-                        if !self.eat(&Token::Comma) {
-                            break;
-                        }
-                    }
-                }
-                self.expect(&Token::RBracket, "] to close list")?;
-                Ok(Expr::List(items))
+            Some(Token::LBracket) => self.list(),
+            Some(Token::Ident(name)) => self.named(name),
+            Some(Token::QuotedIdent(name)) => Ok((Expr::Var(name), 1)),
+            other => {
+                self.pos -= usize::from(other.is_some());
+                Err(self.err(format!("unexpected token in expression: {other:?}")))
             }
-            Some(Token::Ident(name)) => {
-                // Keywords as value atoms.
-                if name.eq_ignore_ascii_case("true") {
-                    self.pos += 1;
-                    return Ok(Expr::Lit(Value::Bool(true)));
-                }
-                if name.eq_ignore_ascii_case("false") {
-                    self.pos += 1;
-                    return Ok(Expr::Lit(Value::Bool(false)));
-                }
-                if name.eq_ignore_ascii_case("null") {
-                    self.pos += 1;
-                    return Ok(Expr::Lit(Value::Null));
-                }
-                if name.eq_ignore_ascii_case("case") {
-                    return self.case_expr();
-                }
-                // `EXISTS { MATCH <patterns> [WHERE expr] }` subquery.
-                if name.eq_ignore_ascii_case("exists")
-                    && self.tokens.get(self.pos + 1) == Some(&Token::LBrace)
-                {
-                    self.pos += 2; // exists {
-                    let _ = self.eat_kw("match");
-                    let mut patterns = vec![self.path_pattern()?];
-                    while self.eat(&Token::Comma) {
-                        patterns.push(self.path_pattern()?);
-                    }
-                    let filter = if self.eat_kw("where") {
-                        Some(Box::new(self.expr()?))
-                    } else {
-                        None
-                    };
-                    self.expect(&Token::RBrace, "} to close EXISTS")?;
-                    return Ok(Expr::Exists { patterns, filter });
-                }
-                self.pos += 1;
-                // Function call?
-                if self.peek() == Some(&Token::LParen) {
-                    self.pos += 1;
-                    let distinct = self.eat_kw("distinct");
-                    let mut args = Vec::new();
-                    if self.eat(&Token::Star) {
-                        // count(*): zero args.
-                    } else if self.peek() != Some(&Token::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Token::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&Token::RParen, ") to close call")?;
-                    return Ok(Expr::Call {
-                        name: name.to_ascii_lowercase(),
-                        distinct,
-                        args,
-                    });
-                }
-                Ok(Expr::Var(name))
-            }
-            Some(Token::QuotedIdent(name)) => {
-                self.pos += 1;
-                Ok(Expr::Var(name))
-            }
-            other => Err(self.err(format!("unexpected token in expression: {other:?}"))),
         }
     }
 
-    fn case_expr(&mut self) -> Result<Expr, CypherError> {
-        self.expect_kw("case")?;
+    /// A list literal, after its `[`.
+    fn list(&mut self) -> Parsed {
+        let (items, depth) = self.expr_list(&Token::RBracket)?;
+        self.expect(&Token::RBracket, "] to close list")?;
+        self.node(Expr::List(items), depth)
+    }
+
+    /// An atom spelled as an identifier (already consumed): a keyword
+    /// value, `CASE`, `EXISTS { … }`, a function call or a variable.
+    fn named(&mut self, name: String) -> Parsed {
+        let literal = match name.to_ascii_lowercase().as_str() {
+            "true" => Value::Bool(true),
+            "false" => Value::Bool(false),
+            "null" => Value::Null,
+            "case" => return self.case_expr(),
+            "exists" if self.peek() == Some(&Token::LBrace) => return self.exists(),
+            _ if self.eat(&Token::LParen) => return self.call(name),
+            _ => return Ok((Expr::Var(name), 1)),
+        };
+        Ok((Expr::Lit(literal), 1))
+    }
+
+    /// `EXISTS { [MATCH] <patterns> [WHERE expr] }`, after `EXISTS`. A
+    /// subquery also recurses through the pattern parser, so it spends a
+    /// second level of the nesting budget.
+    fn exists(&mut self) -> Parsed {
+        self.nesting += 1;
+        let out = self.subquery();
+        self.nesting -= 1;
+        out
+    }
+
+    fn subquery(&mut self) -> Parsed {
+        self.expect(&Token::LBrace, "{")?;
+        let _ = self.eat_kw("match");
+        // Inline property maps inside the patterns are expressions too:
+        // count their depth.
+        let outer = std::mem::take(&mut self.pattern_depth);
+        let mut patterns = vec![self.path_pattern()?];
+        while self.eat(&Token::Comma) {
+            patterns.push(self.path_pattern()?);
+        }
+        let mut depth = std::mem::replace(&mut self.pattern_depth, outer);
+        let filter = if self.eat_kw("where") {
+            let (f, d) = self.nested()?;
+            depth = depth.max(d);
+            Some(Box::new(f))
+        } else {
+            None
+        };
+        self.expect(&Token::RBrace, "} to close EXISTS")?;
+        self.node(Expr::Exists { patterns, filter }, depth)
+    }
+
+    /// A function call, after its `name(`.
+    fn call(&mut self, name: String) -> Parsed {
+        let distinct = self.eat_kw("distinct");
+        let (args, depth) = if self.eat(&Token::Star) {
+            (Vec::new(), 0) // count(*): zero args.
+        } else {
+            self.expr_list(&Token::RParen)?
+        };
+        self.expect(&Token::RParen, ") to close call")?;
+        let name = name.to_ascii_lowercase();
+        self.node(
+            Expr::Call {
+                name,
+                distinct,
+                args,
+            },
+            depth,
+        )
+    }
+
+    /// `CASE WHEN … THEN … [ELSE …] END`, after `CASE`.
+    fn case_expr(&mut self) -> Parsed {
         let mut branches = Vec::new();
+        let mut depth = 0;
         while self.eat_kw("when") {
-            let cond = self.expr()?;
+            let (cond, dc) = self.nested()?;
             self.expect_kw("then")?;
-            let val = self.expr()?;
+            let (val, dv) = self.nested()?;
+            depth = depth.max(dc).max(dv);
             branches.push((cond, val));
         }
         let default = if self.eat_kw("else") {
-            Some(Box::new(self.expr()?))
+            let (d, dd) = self.nested()?;
+            depth = depth.max(dd);
+            Some(Box::new(d))
         } else {
             None
         };
@@ -654,7 +715,7 @@ impl Parser {
         if branches.is_empty() {
             return Err(self.err("CASE requires at least one WHEN branch"));
         }
-        Ok(Expr::Case { branches, default })
+        self.node(Expr::Case { branches, default }, depth)
     }
 }
 
@@ -993,6 +1054,80 @@ mod edge_case_tests {
         assert!(parse("MATCH (n) RETURN n;").is_ok());
         assert!(parse("  \n\tMATCH (n)\n\nRETURN n\n").is_ok());
         assert!(parse("CREATE (:AS {asn: 1});").is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
+        for (shape, text) in [
+            (
+                "lists",
+                format!("RETURN {}1{}", "[".repeat(5_000), "]".repeat(5_000)),
+            ),
+            ("sum chain", format!("RETURN 1{}", " + 1".repeat(40_000))),
+            (
+                "NOT prefixes",
+                format!("RETURN {}true", "NOT ".repeat(20_000)),
+            ),
+            ("unary minus", format!("RETURN {}1", "- ".repeat(40_000))),
+            (
+                "parentheses",
+                format!("RETURN {}1{}", "(".repeat(5_000), ")".repeat(5_000)),
+            ),
+            (
+                "property chain",
+                format!("MATCH (n) RETURN n{}", ".a".repeat(5_000)),
+            ),
+            // These recurse through more parser frames per level.
+            (
+                "calls",
+                format!("RETURN {}1{}", "abs(".repeat(5_000), ")".repeat(5_000)),
+            ),
+            (
+                "indexes",
+                format!("RETURN {}0{}", "x[".repeat(5_000), "]".repeat(5_000)),
+            ),
+            (
+                "NOT groups",
+                format!("RETURN {}true{}", "NOT (".repeat(5_000), ")".repeat(5_000)),
+            ),
+            (
+                "CASE",
+                format!(
+                    "RETURN {}1{}",
+                    "CASE WHEN ".repeat(5_000),
+                    " THEN 1 END".repeat(5_000)
+                ),
+            ),
+            (
+                "EXISTS",
+                format!(
+                    "MATCH (a) WHERE {}true{} RETURN a",
+                    "EXISTS { MATCH (a {x: ".repeat(5_000),
+                    "}) }".repeat(5_000)
+                ),
+            ),
+        ] {
+            match parse(&text) {
+                Err(CypherError::Parse { msg, .. }) => {
+                    assert!(msg.contains("deeper than 128"), "{shape}: {msg}")
+                }
+                other => panic!("{shape}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let sum = format!("RETURN 1{}", " + 1".repeat(100));
+        let list = format!("RETURN {}1{}", "[".repeat(100), "]".repeat(100));
+        let nots = format!("MATCH (n) WHERE {}true RETURN n", "NOT ".repeat(100));
+        for text in [sum, list, nots] {
+            assert!(parse(&text).is_ok(), "{text}");
+        }
+        // EXISTS subqueries count their inline property maps too.
+        let inner = format!("{}1{}", "[".repeat(127), "]".repeat(127));
+        let q = format!("MATCH (a) WHERE EXISTS {{ MATCH (a)--(b {{x: {inner}}}) }} RETURN a");
+        assert!(parse(&q).is_err());
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Prepared statements: the first-class query API.
+//! Prepared statements: the read-query API.
 //!
-//! [`Statement`] replaces the old `query` / `query_with_cancel` /
-//! `explain` / `profile` free-function spread (those remain as thin
-//! shims). Preparing parses once — re-preparing the same text reuses a
-//! process-global AST cache — and running consults an epoch-keyed
-//! [`QueryCache`] so repeated hot queries against an unchanged graph
+//! [`Statement`] is the one way to run, explain and profile a read
+//! query ([`crate::query_write`] runs writes). Preparing parses once —
+//! re-preparing the same text reuses a process-global AST cache. Each
+//! run compiles the AST against the graph into the plan the executor
+//! walks ([`crate::plan`]); `EXPLAIN` renders that plan and `PROFILE`
+//! renders it after running it. Runs consult an epoch-keyed
+//! [`QueryCache`], so repeated hot queries against an unchanged graph
 //! skip execution entirely:
 //!
 //! ```
@@ -29,17 +31,16 @@
 //! [`Statement::cache`], opt out with [`Statement::no_cache`]). A hit
 //! still polls the cancel token once, so `--query-timeout` semantics
 //! hold — an already-expired deadline reports `timeout` rather than
-//! sneaking a result out of the cache. `PROFILE` runs annotate the
-//! plan root with `cache=hit|miss` whenever a cache is enabled; on a
-//! hit the plan carries no per-operator stats because nothing ran.
+//! sneaking a result out of the cache. `PROFILE` runs mark the plan
+//! root `cache=hit|miss` whenever a cache is enabled; on a hit the plan
+//! carries no per-operator stats because nothing ran.
 
 use crate::ast::{Query, QueryMode};
 use crate::cache::{self, QueryCache};
 use crate::cancel::Cancel;
 use crate::error::CypherError;
-use crate::exec::{execute_observed, plan_result, run_profiled, Params, ResultSet};
-use crate::parser::parse;
-use crate::plan::{plan_query, PlanNode};
+use crate::exec::{plan_result, run, Params, ResultSet, Target};
+use crate::plan::{compile, Plan, PlanNode};
 use iyp_graph::Graph;
 use std::sync::{Arc, OnceLock};
 
@@ -63,17 +64,9 @@ impl<'a> Statement<'a> {
     /// shared through a process-global cache, so preparing the same
     /// text twice does not re-run the parser.
     pub fn prepare(text: &str) -> Result<Statement<'static>, CypherError> {
-        let ast = match cache::cached_ast(text) {
-            Some(ast) => ast,
-            None => {
-                let ast = Arc::new(parse(text)?);
-                cache::store_ast(text, Arc::clone(&ast));
-                ast
-            }
-        };
         Ok(Statement {
             text: text.to_string(),
-            ast,
+            ast: cache::parse_cached(text)?,
             params: None,
             cancel: None,
             cache: None,
@@ -87,12 +80,8 @@ impl<'a> Statement<'a> {
         'a: 'b,
     {
         Statement {
-            text: self.text,
-            ast: self.ast,
             params: Some(params),
-            cancel: self.cancel,
-            cache: self.cache,
-            use_cache: self.use_cache,
+            ..self
         }
     }
 
@@ -104,12 +93,8 @@ impl<'a> Statement<'a> {
         'a: 'b,
     {
         Statement {
-            text: self.text,
-            ast: self.ast,
-            params: self.params,
             cancel: Some(cancel),
-            cache: self.cache,
-            use_cache: self.use_cache,
+            ..self
         }
     }
 
@@ -121,12 +106,8 @@ impl<'a> Statement<'a> {
         'a: 'b,
     {
         Statement {
-            text: self.text,
-            ast: self.ast,
-            params: self.params,
-            cancel: self.cancel,
             cache: Some(cache),
-            use_cache: self.use_cache,
+            ..self
         }
     }
 
@@ -135,11 +116,6 @@ impl<'a> Statement<'a> {
     pub fn no_cache(mut self) -> Statement<'a> {
         self.use_cache = false;
         self
-    }
-
-    /// The statement's query text.
-    pub fn text(&self) -> &str {
-        &self.text
     }
 
     /// Runs the statement and returns an owned result (cloning only if
@@ -156,54 +132,30 @@ impl<'a> Statement<'a> {
     /// the graph's mutation epoch.
     ///
     /// `EXPLAIN`/`PROFILE`-prefixed statements return their plan as a
-    /// one-`plan`-column result, exactly like [`crate::query`].
+    /// one-`plan`-column result, one row per plan line.
     pub fn run_shared(&self, graph: &Graph) -> Result<Arc<ResultSet>, CypherError> {
         let _span = iyp_telemetry::span(iyp_telemetry::names::CYPHER_QUERY_SECONDS);
         iyp_telemetry::counter(iyp_telemetry::names::CYPHER_QUERIES_TOTAL).incr();
-        let params = match self.params {
-            Some(p) => p,
-            None => empty_params(),
-        };
         match self.ast.mode {
-            QueryMode::Normal => {
-                let cache = self.effective_cache();
-                if let Some(cache) = cache {
-                    if let Some(hit) = cache.get(graph, &self.text, params) {
-                        if let Some(token) = self.cancel {
-                            token.check()?;
-                        }
-                        return Ok(hit);
-                    }
-                }
-                let result = Arc::new(execute_observed(
-                    graph,
-                    &self.ast,
-                    params,
-                    None,
-                    self.cancel,
-                )?);
-                if let Some(cache) = cache {
-                    cache.insert(graph, &self.text, params, Arc::clone(&result));
-                }
-                Ok(result)
-            }
-            QueryMode::Explain => Ok(Arc::new(plan_result(&plan_query(graph, &self.ast)))),
-            QueryMode::Profile => {
-                let (_, plan) = self.profile_impl(graph)?;
-                Ok(Arc::new(plan_result(&plan)))
-            }
+            QueryMode::Normal => Ok(self
+                .execute(graph, &mut compile(graph, &self.ast), false)?
+                .0),
+            QueryMode::Explain => Ok(Arc::new(plan_result(&self.explain(graph)))),
+            QueryMode::Profile => Ok(Arc::new(plan_result(&self.profile_impl(graph)?.1))),
         }
     }
 
-    /// Builds the execution plan without running anything.
+    /// Compiles the statement against `graph` and renders the plan a
+    /// run would execute, without running anything.
     pub fn explain(&self, graph: &Graph) -> PlanNode {
-        plan_query(graph, &self.ast)
+        compile(graph, &self.ast).tree(graph)
     }
 
-    /// Runs the statement and returns both its result and the
-    /// execution plan. With a cache enabled the plan root is annotated
-    /// `cache=hit` (served without executing; no per-operator stats)
-    /// or `cache=miss` (executed and now cached).
+    /// Runs the statement and returns both its result and the plan that
+    /// ran: every operator carries the rows it produced, and each
+    /// clause its wall time. With a cache enabled the plan root is
+    /// marked `cache=hit` (served without executing; no per-operator
+    /// stats) or `cache=miss` (executed and now cached).
     pub fn profile(&self, graph: &Graph) -> Result<(ResultSet, PlanNode), CypherError> {
         let (rows, plan) = self.profile_impl(graph)?;
         Ok((
@@ -213,28 +165,36 @@ impl<'a> Statement<'a> {
     }
 
     fn profile_impl(&self, graph: &Graph) -> Result<(Arc<ResultSet>, PlanNode), CypherError> {
-        let params = match self.params {
-            Some(p) => p,
-            None => empty_params(),
-        };
+        let mut plan = compile(graph, &self.ast);
+        let (rows, cache) = self.execute(graph, &mut plan, true)?;
+        let mut tree = plan.tree(graph);
+        tree.cache = cache;
+        Ok((rows, tree))
+    }
+
+    /// Runs `plan`, unless the cache answers; a hit still polls the
+    /// cancel token once, so deadlines hold either way. Returns the
+    /// result and, when a cache is in play, whether it hit.
+    fn execute(
+        &self,
+        graph: &Graph,
+        plan: &mut Plan<'_>,
+        profile: bool,
+    ) -> Result<(Arc<ResultSet>, Option<&'static str>), CypherError> {
+        let params = self.params.unwrap_or(empty_params());
         let cache = self.effective_cache();
-        if let Some(cache) = cache {
-            if let Some(hit) = cache.get(graph, &self.text, params) {
-                if let Some(token) = self.cancel {
-                    token.check()?;
-                }
-                let mut plan = plan_query(graph, &self.ast);
-                plan.cache = Some("hit");
-                return Ok((hit, plan));
+        if let Some(hit) = cache.and_then(|c| c.get(graph, &self.text, params)) {
+            if let Some(token) = self.cancel {
+                token.check()?;
             }
+            return Ok((hit, Some("hit")));
         }
-        let (rows, mut plan) = run_profiled(graph, &self.ast, params, self.cancel)?;
+        let (rows, _) = run(Target::Read(graph), plan, params, self.cancel, profile)?;
         let rows = Arc::new(rows);
         if let Some(cache) = cache {
-            plan.cache = Some("miss");
             cache.insert(graph, &self.text, params, Arc::clone(&rows));
         }
-        Ok((rows, plan))
+        Ok((rows, cache.map(|_| "miss")))
     }
 
     /// The cache this run will consult: the attached one, else the

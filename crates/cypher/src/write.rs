@@ -4,15 +4,18 @@
 //! knowledge graph — tagging the resources under study, importing
 //! confidential data, materialising intermediate results ("we added
 //! temporal SPoF relationships in the knowledge graph"). This module
-//! executes the Cypher write clauses against a mutable graph.
+//! executes the Cypher write clauses against a mutable graph; the
+//! read clauses of a write query run in the same executor loop as any
+//! read query (`crate::exec::run`).
 
 use crate::ast::*;
+use crate::cache;
 use crate::error::CypherError;
-use crate::eval::{truth, EvalCtx, Row};
-use crate::exec::{exec_match, match_pattern, project, Params, ResultSet};
-use crate::parser::parse;
+use crate::eval::{EvalCtx, Row};
+use crate::exec::{match_pattern, run, Params, ResultSet, Target};
+use crate::plan::{compile, Step};
 use crate::rtval::RtVal;
-use iyp_graph::{Graph, NodeId, Props, RelId, Value};
+use iyp_graph::{Graph, NodeId, Props, RelId, Value, MAX_VALUE_DEPTH};
 use std::collections::HashSet;
 
 /// Counters describing the effects of a write query (the summary Neo4j
@@ -31,9 +34,11 @@ pub struct WriteSummary {
     pub rels_deleted: usize,
 }
 
-/// Parses and executes a (possibly writing) query against a mutable
-/// graph. Returns the `RETURN` result (empty when the query has none)
-/// and the write counters.
+/// Parses (through the same AST cache as [`crate::Statement`]),
+/// compiles and runs a possibly writing query against a mutable graph.
+/// Returns the `RETURN` result (empty when the query has none) and the
+/// write counters. Writes are not cancellable: a write either runs to
+/// completion or fails on an error.
 pub fn query_write(
     graph: &mut Graph,
     text: &str,
@@ -41,205 +46,174 @@ pub fn query_write(
 ) -> Result<(ResultSet, WriteSummary), CypherError> {
     let _span = iyp_telemetry::span(iyp_telemetry::names::CYPHER_QUERY_SECONDS);
     iyp_telemetry::counter(iyp_telemetry::names::CYPHER_WRITE_QUERIES_TOTAL).incr();
-    let ast = parse(text)?;
+    let ast = cache::parse_cached(text)?;
     if ast.mode != QueryMode::Normal {
         return Err(CypherError::runtime(
             "EXPLAIN/PROFILE are not supported for write queries",
         ));
     }
-    execute_write(graph, &ast, params)
+    let mut plan = compile(graph, &ast);
+    run(Target::Write(graph), &mut plan, params, None, false)
 }
 
-/// Executes a parsed query with write support.
-pub fn execute_write(
+/// Runs one write step over the rows the previous steps produced.
+pub(crate) fn apply(
     graph: &mut Graph,
-    ast: &Query,
     params: &Params,
-) -> Result<(ResultSet, WriteSummary), CypherError> {
-    let mut rows: Vec<Row> = vec![Row::new()];
-    let mut result: Option<ResultSet> = None;
-    let mut summary = WriteSummary::default();
+    step: &Step<'_>,
+    rows: Vec<Row>,
+    summary: &mut WriteSummary,
+) -> Result<Vec<Row>, CypherError> {
+    match step.clause {
+        Clause::Create(patterns) => {
+            let mut out = Vec::with_capacity(rows.len());
+            for mut row in rows {
+                for pattern in patterns {
+                    row = create_pattern(graph, params, row, pattern, summary)?;
+                }
+                out.push(row);
+            }
+            Ok(out)
+        }
+        Clause::Merge(pattern) => {
+            let mut out = Vec::new();
+            for row in rows {
+                // Bind every existing match, or create the pattern.
+                let mut found = Vec::new();
+                match_pattern(
+                    &EvalCtx::new(graph, params),
+                    &row,
+                    &HashSet::new(),
+                    &step.patterns[0],
+                    &mut found,
+                    None,
+                )?;
+                if found.is_empty() {
+                    out.push(create_pattern(graph, params, row, pattern, summary)?);
+                } else {
+                    out.extend(found.into_iter().map(|(r, _)| r));
+                }
+            }
+            Ok(out)
+        }
+        Clause::Set(items) => {
+            set(graph, params, items, &rows, summary)?;
+            Ok(rows)
+        }
+        Clause::Delete { exprs, detach } => {
+            delete(graph, params, exprs, *detach, &rows, summary)?;
+            Ok(rows)
+        }
+        _ => unreachable!("read operators run in the executor"),
+    }
+}
 
-    for clause in &ast.clauses {
-        match clause {
-            Clause::Match { optional, patterns } => {
-                let ctx = EvalCtx::new(graph, params);
-                rows = exec_match(&ctx, rows, patterns, *optional, None)?;
-            }
-            Clause::Where(expr) => {
-                let ctx = EvalCtx::new(graph, params);
-                let mut kept = Vec::with_capacity(rows.len());
-                for row in rows {
-                    if truth(&ctx.eval(expr, &row)?) == Some(true) {
-                        kept.push(row);
-                    }
+/// `SET`: evaluates every assignment against the pre-`SET` state, then
+/// applies them.
+fn set(
+    graph: &mut Graph,
+    params: &Params,
+    items: &[SetItem],
+    rows: &[Row],
+    summary: &mut WriteSummary,
+) -> Result<(), CypherError> {
+    let mut planned: Vec<(RtVal, &str, Value)> = Vec::new();
+    let ctx = EvalCtx::new(graph, params);
+    for row in rows {
+        for item in items {
+            let target = row.get(&item.var).cloned().ok_or_else(|| {
+                CypherError::runtime(format!("SET target `{}` is not bound", item.var))
+            })?;
+            let value = match ctx.eval(&item.value, row)? {
+                RtVal::Scalar(s) => storable(&item.key, s)?,
+                other => {
+                    return Err(CypherError::runtime(format!(
+                        "SET value must be a scalar, got {other:?}"
+                    )))
                 }
-                rows = kept;
+            };
+            planned.push((target, &item.key, value));
+        }
+    }
+    for (target, key, value) in planned {
+        match target {
+            RtVal::Node(n) => graph.set_node_prop(n, key, value)?,
+            RtVal::Rel(r) => graph.set_rel_prop(r, key, value)?,
+            other => {
+                return Err(CypherError::runtime(format!(
+                    "SET target must be a node or relationship, got {other:?}"
+                )))
             }
-            Clause::Unwind { expr, var } => {
-                let ctx = EvalCtx::new(graph, params);
-                let mut out = Vec::new();
-                for row in rows {
-                    let v = ctx.eval(expr, &row)?;
-                    if let Some(items) = v.as_list() {
-                        for item in items {
-                            let mut r = row.clone();
-                            r.insert(var.clone(), item);
-                            out.push(r);
-                        }
-                    } else if !v.is_null() {
-                        let mut r = row.clone();
-                        r.insert(var.clone(), v);
-                        out.push(r);
-                    }
-                }
-                rows = out;
-            }
-            Clause::With(proj) => {
-                let ctx = EvalCtx::new(graph, params);
-                let (cols, projected) = project(&ctx, rows, proj)?;
-                rows = projected
-                    .into_iter()
-                    .map(|vals| cols.iter().cloned().zip(vals).collect())
-                    .collect();
-            }
-            Clause::Return(proj) => {
-                let ctx = EvalCtx::new(graph, params);
-                let (cols, projected) = project(&ctx, rows, proj)?;
-                result = Some(ResultSet {
-                    columns: cols,
-                    rows: projected,
-                });
-                rows = Vec::new();
-            }
-            Clause::Create(patterns) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut r = row;
-                    for pattern in patterns {
-                        r = create_pattern(graph, params, r, pattern, &mut summary)?;
-                    }
-                    out.push(r);
-                }
-                rows = out;
-            }
-            Clause::Merge(pattern) => {
-                let mut out = Vec::new();
-                for row in rows {
-                    // Try to match first.
-                    let matches = {
-                        let ctx = EvalCtx::new(graph, params);
-                        let mut found = Vec::new();
-                        match_pattern(&ctx, &row, &HashSet::new(), pattern, &mut found, None)?;
-                        found
-                    };
-                    if matches.is_empty() {
-                        out.push(create_pattern(graph, params, row, pattern, &mut summary)?);
-                    } else {
-                        out.extend(matches.into_iter().map(|(r, _)| r));
-                    }
-                }
-                rows = out;
-            }
-            Clause::Set(items) => {
-                // Evaluate all assignments against the pre-SET state.
-                let mut planned: Vec<(RtVal, String, Value)> = Vec::new();
-                {
-                    let ctx = EvalCtx::new(graph, params);
-                    for row in &rows {
-                        for item in items {
-                            let target = row.get(&item.var).cloned().ok_or_else(|| {
-                                CypherError::runtime(format!(
-                                    "SET target `{}` is not bound",
-                                    item.var
-                                ))
-                            })?;
-                            let value = ctx.eval(&item.value, row)?;
-                            let scalar = match value {
-                                RtVal::Scalar(s) => s,
-                                other => {
-                                    return Err(CypherError::runtime(format!(
-                                        "SET value must be a scalar, got {other:?}"
-                                    )))
-                                }
-                            };
-                            planned.push((target, item.key.clone(), scalar));
-                        }
-                    }
-                }
-                for (target, key, value) in planned {
-                    match target {
-                        RtVal::Node(n) => graph
-                            .set_node_prop(n, &key, value)
-                            .map_err(|e| CypherError::runtime(e.to_string()))?,
-                        RtVal::Rel(r) => graph
-                            .set_rel_prop(r, &key, value)
-                            .map_err(|e| CypherError::runtime(e.to_string()))?,
-                        other => {
-                            return Err(CypherError::runtime(format!(
-                                "SET target must be a node or relationship, got {other:?}"
-                            )))
-                        }
-                    }
-                    summary.props_set += 1;
-                }
-            }
-            Clause::Delete { exprs, detach } => {
-                let mut nodes: Vec<NodeId> = Vec::new();
-                let mut rels: Vec<RelId> = Vec::new();
-                {
-                    let ctx = EvalCtx::new(graph, params);
-                    for row in &rows {
-                        for e in exprs {
-                            match ctx.eval(e, row)? {
-                                RtVal::Node(n) => nodes.push(n),
-                                RtVal::Rel(r) => rels.push(r),
-                                RtVal::Scalar(Value::Null) => {}
-                                other => {
-                                    return Err(CypherError::runtime(format!(
-                                    "DELETE target must be a node or relationship, got {other:?}"
-                                )))
-                                }
-                            }
-                        }
-                    }
-                }
-                rels.sort();
-                rels.dedup();
-                nodes.sort();
-                nodes.dedup();
-                for r in rels {
-                    // The rel may already be gone via an earlier detach.
-                    if graph.rel(r).is_some() {
-                        graph
-                            .delete_rel(r)
-                            .map_err(|e| CypherError::runtime(e.to_string()))?;
-                        summary.rels_deleted += 1;
-                    }
-                }
-                for n in nodes {
-                    let Some(node) = graph.node(n) else { continue };
-                    if !detach && node.degree() > 0 {
-                        return Err(CypherError::runtime(
-                            "cannot DELETE a node that still has relationships \
-                             (use DETACH DELETE)",
-                        ));
-                    }
-                    summary.rels_deleted += node.degree();
-                    graph
-                        .delete_node(n)
-                        .map_err(|e| CypherError::runtime(e.to_string()))?;
-                    summary.nodes_deleted += 1;
+        }
+        summary.props_set += 1;
+    }
+    Ok(())
+}
+
+/// `DELETE` / `DETACH DELETE` of the nodes and relationships the
+/// expressions evaluate to, each once.
+fn delete(
+    graph: &mut Graph,
+    params: &Params,
+    exprs: &[Expr],
+    detach: bool,
+    rows: &[Row],
+    summary: &mut WriteSummary,
+) -> Result<(), CypherError> {
+    let mut nodes: Vec<NodeId> = Vec::new();
+    let mut rels: Vec<RelId> = Vec::new();
+    let ctx = EvalCtx::new(graph, params);
+    for row in rows {
+        for e in exprs {
+            match ctx.eval(e, row)? {
+                RtVal::Node(n) => nodes.push(n),
+                RtVal::Rel(r) => rels.push(r),
+                RtVal::Scalar(Value::Null) => {}
+                other => {
+                    return Err(CypherError::runtime(format!(
+                        "DELETE target must be a node or relationship, got {other:?}"
+                    )))
                 }
             }
         }
     }
+    rels.sort();
+    rels.dedup();
+    nodes.sort();
+    nodes.dedup();
+    for r in rels {
+        // The rel may already be gone via an earlier detach.
+        if graph.rel(r).is_some() {
+            graph.delete_rel(r)?;
+            summary.rels_deleted += 1;
+        }
+    }
+    for n in nodes {
+        let Some(node) = graph.node(n) else { continue };
+        if !detach && node.degree() > 0 {
+            return Err(CypherError::runtime(
+                "cannot DELETE a node that still has relationships \
+                 (use DETACH DELETE)",
+            ));
+        }
+        summary.rels_deleted += node.degree();
+        graph.delete_node(n)?;
+        summary.nodes_deleted += 1;
+    }
+    Ok(())
+}
 
-    let result = result.unwrap_or(ResultSet {
-        columns: Vec::new(),
-        rows: Vec::new(),
-    });
-    Ok((result, summary))
+/// A value about to be stored as property `key`: lists nested deeper
+/// than [`MAX_VALUE_DEPTH`] are refused before anything is written,
+/// since snapshot and journal decoding would refuse them on recovery.
+fn storable(key: &str, value: Value) -> Result<Value, CypherError> {
+    if value.depth() > MAX_VALUE_DEPTH {
+        return Err(CypherError::runtime(format!(
+            "property `{key}`: value nesting too deep (lists nest at most \
+             {MAX_VALUE_DEPTH} levels)"
+        )));
+    }
+    Ok(value)
 }
 
 /// Evaluates a pattern's inline property maps into concrete values.
@@ -254,7 +228,7 @@ fn eval_props(
     for (k, e) in props {
         match ctx.eval(e, row)? {
             RtVal::Scalar(v) => {
-                out.insert(k.clone(), v);
+                out.insert(k.clone(), storable(k, v)?);
             }
             other => {
                 return Err(CypherError::runtime(format!(
@@ -324,9 +298,7 @@ fn create_pattern(
             }
         };
         let props = eval_props(graph, params, &row, &rp.props)?;
-        let rel = graph
-            .create_rel(src, &rp.types[0], dst, props)
-            .map_err(|e| CypherError::runtime(e.to_string()))?;
+        let rel = graph.create_rel(src, &rp.types[0], dst, props)?;
         summary.rels_created += 1;
         if let Some(var) = &rp.var {
             row.insert(var.clone(), RtVal::Rel(rel));

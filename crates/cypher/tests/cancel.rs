@@ -1,8 +1,8 @@
 //! Cooperative cancellation: a tripped token stops the executor at a
 //! row boundary with a structured `timeout:` error, while a generous
-//! deadline leaves results byte-identical to the plain `query` path.
+//! deadline leaves results byte-identical to an untimed run.
 
-use iyp_cypher::{query, query_with_cancel, Cancel, CypherError, Params};
+use iyp_cypher::{Cancel, CypherError, Params, Statement};
 use iyp_graph::{props, Graph, Props, Value};
 use std::time::Duration;
 
@@ -40,7 +40,12 @@ fn pre_cancelled_token_times_out() {
     for q in QUERIES {
         let cancel = Cancel::new();
         cancel.cancel();
-        let err = query_with_cancel(&g, q, &params, &cancel).unwrap_err();
+        let err = Statement::prepare(q)
+            .unwrap()
+            .params(&params)
+            .cancel(&cancel)
+            .run(&g)
+            .unwrap_err();
         assert!(
             matches!(err, CypherError::Timeout { .. }),
             "{q}: expected Timeout, got {err:?}"
@@ -54,7 +59,12 @@ fn zero_deadline_times_out() {
     let g = dense_graph();
     let params = Params::default();
     let cancel = Cancel::with_timeout(Duration::ZERO);
-    let err = query_with_cancel(&g, QUERIES[3], &params, &cancel).unwrap_err();
+    let err = Statement::prepare(QUERIES[3])
+        .unwrap()
+        .params(&params)
+        .cancel(&cancel)
+        .run(&g)
+        .unwrap_err();
     assert!(matches!(err, CypherError::Timeout { .. }), "{err:?}");
 }
 
@@ -63,9 +73,18 @@ fn generous_deadline_matches_plain_query() {
     let g = dense_graph();
     let params = Params::default();
     for q in QUERIES {
-        let plain = query(&g, q, &params).unwrap();
+        let plain = Statement::prepare(q)
+            .unwrap()
+            .params(&params)
+            .run(&g)
+            .unwrap();
         let cancel = Cancel::with_timeout(Duration::from_secs(3600));
-        let timed = query_with_cancel(&g, q, &params, &cancel).unwrap();
+        let timed = Statement::prepare(q)
+            .unwrap()
+            .params(&params)
+            .cancel(&cancel)
+            .run(&g)
+            .unwrap();
         assert_eq!(plain.columns, timed.columns, "{q}");
         assert_eq!(plain.rows, timed.rows, "{q}");
     }

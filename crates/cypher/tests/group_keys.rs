@@ -6,7 +6,7 @@
 //! separator itself. Keys are now structural ([`iyp_cypher::GroupKey`]);
 //! these tests pin the corrected behaviour at the query level.
 
-use iyp_cypher::{query, Params, RtVal};
+use iyp_cypher::{Params, RtVal, Statement};
 use iyp_graph::{Graph, Value};
 
 fn run(q: &str) -> Vec<Vec<RtVal>> {
@@ -15,7 +15,10 @@ fn run(q: &str) -> Vec<Vec<RtVal>> {
 
 fn run_with(q: &str, params: &Params) -> Vec<Vec<RtVal>> {
     let g = Graph::new();
-    query(&g, q, params).expect(q).rows
+    Statement::prepare(q)
+        .and_then(|s| s.params(params).run(&g))
+        .expect(q)
+        .rows
 }
 
 fn ints(rows: &[Vec<RtVal>], col: usize) -> Vec<i64> {

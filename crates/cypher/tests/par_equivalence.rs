@@ -7,9 +7,14 @@
 //! partition threshold are process-wide knobs; a second test function
 //! running concurrently in this binary would race on them.
 
-use iyp_cypher::{query, set_min_partition, set_threads, Params};
+use iyp_cypher::{set_min_partition, set_threads, CypherError, Params, ResultSet, Statement};
 use iyp_graph::{props, Graph, Props, Value};
 use proptest::prelude::*;
+
+/// Runs a read query through a prepared [`Statement`].
+fn run(g: &Graph, q: &str, params: &Params) -> Result<ResultSet, CypherError> {
+    Statement::prepare(q)?.params(params).run(g)
+}
 
 /// Builds a random AS/Prefix/Organization graph from a compact
 /// description. Property values are chosen to stress grouping: asn
@@ -92,12 +97,12 @@ proptest! {
         let g = build_graph(&ases, &links);
         for q in QUERIES {
             set_threads(1);
-            let serial = query(&g, q, &Params::new());
+            let serial = run(&g, q, &Params::new());
             // Partition threshold 1 forces the parallel path even on
             // tiny candidate sets, so every stage is exercised.
             set_threads(4);
             set_min_partition(1);
-            let parallel = query(&g, q, &Params::new());
+            let parallel = run(&g, q, &Params::new());
             set_threads(0);
             set_min_partition(iyp_cypher::par::DEFAULT_MIN_PARTITION);
             match (serial, parallel) {

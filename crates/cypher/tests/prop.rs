@@ -1,9 +1,14 @@
 //! Property-based tests for the query engine: structural invariants
 //! that must hold for arbitrary graphs and query shapes.
 
-use iyp_cypher::{query, Params};
+use iyp_cypher::{CypherError, Params, ResultSet, Statement};
 use iyp_graph::{props, Graph, Props, Value};
 use proptest::prelude::*;
+
+/// Runs a read query through a prepared [`Statement`].
+fn run(g: &Graph, q: &str, params: &Params) -> Result<ResultSet, CypherError> {
+    Statement::prepare(q)?.params(params).run(g)
+}
 
 /// Builds a random AS/Prefix graph from a compact description.
 fn build_graph(ases: &[u16], links: &[(u8, u8)]) -> Graph {
@@ -46,11 +51,11 @@ proptest! {
     /// count(*) equals the number of rows returned without aggregation.
     #[test]
     fn count_star_matches_row_count(g in arb_graph()) {
-        let rows = query(&g, "MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) RETURN a, p", &Params::new())
+        let rows = run(&g, "MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) RETURN a, p", &Params::new())
             .unwrap()
             .rows
             .len();
-        let counted = query(&g, "MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) RETURN count(*)", &Params::new())
+        let counted = run(&g, "MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) RETURN count(*)", &Params::new())
             .unwrap()
             .single_int()
             .unwrap();
@@ -60,14 +65,14 @@ proptest! {
     /// DISTINCT never yields more rows, and re-applying it is a no-op.
     #[test]
     fn distinct_is_idempotent_shrinking(g in arb_graph()) {
-        let all = query(&g, "MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN a.asn", &Params::new())
+        let all = run(&g, "MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN a.asn", &Params::new())
             .unwrap();
         let distinct =
-            query(&g, "MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN DISTINCT a.asn", &Params::new())
+            run(&g, "MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN DISTINCT a.asn", &Params::new())
                 .unwrap();
         prop_assert!(distinct.rows.len() <= all.rows.len());
         // Re-running distinct over the distinct result via WITH changes nothing.
-        let twice = query(
+        let twice = run(
             &g,
             "MATCH (a:AS)-[:PEERS_WITH]-(b:AS) WITH DISTINCT a.asn AS x RETURN DISTINCT x",
             &Params::new(),
@@ -79,7 +84,7 @@ proptest! {
     /// ORDER BY produces a sorted column; LIMIT bounds the row count.
     #[test]
     fn order_by_sorts_and_limit_bounds(g in arb_graph(), limit in 0usize..10) {
-        let rs = query(
+        let rs = run(
             &g,
             &format!("MATCH (a:AS) RETURN a.asn AS x ORDER BY x LIMIT {limit}"),
             &Params::new(),
@@ -99,12 +104,12 @@ proptest! {
     /// WHERE false removes everything; WHERE true keeps everything.
     #[test]
     fn where_extremes(g in arb_graph()) {
-        let all = query(&g, "MATCH (a:AS) RETURN a", &Params::new()).unwrap().rows.len();
-        let none = query(&g, "MATCH (a:AS) WHERE false RETURN a", &Params::new())
+        let all = run(&g, "MATCH (a:AS) RETURN a", &Params::new()).unwrap().rows.len();
+        let none = run(&g, "MATCH (a:AS) WHERE false RETURN a", &Params::new())
             .unwrap()
             .rows
             .len();
-        let kept = query(&g, "MATCH (a:AS) WHERE true RETURN a", &Params::new())
+        let kept = run(&g, "MATCH (a:AS) WHERE true RETURN a", &Params::new())
             .unwrap()
             .rows
             .len();
@@ -115,7 +120,7 @@ proptest! {
     /// An undirected pattern matches the union of the two directed ones.
     #[test]
     fn undirected_is_union_of_directions(g in arb_graph()) {
-        let undirected = query(
+        let undirected = run(
             &g,
             "MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN count(*)",
             &Params::new(),
@@ -123,7 +128,7 @@ proptest! {
         .unwrap()
         .single_int()
         .unwrap();
-        let right = query(
+        let right = run(
             &g,
             "MATCH (a:AS)-[:PEERS_WITH]->(b:AS) RETURN count(*)",
             &Params::new(),
@@ -131,7 +136,7 @@ proptest! {
         .unwrap()
         .single_int()
         .unwrap();
-        let left = query(
+        let left = run(
             &g,
             "MATCH (a:AS)<-[:PEERS_WITH]-(b:AS) RETURN count(*)",
             &Params::new(),
@@ -146,8 +151,8 @@ proptest! {
     /// OPTIONAL MATCH preserves the left-hand cardinality lower bound.
     #[test]
     fn optional_match_keeps_rows(g in arb_graph()) {
-        let base = query(&g, "MATCH (a:AS) RETURN a", &Params::new()).unwrap().rows.len();
-        let opt = query(
+        let base = run(&g, "MATCH (a:AS) RETURN a", &Params::new()).unwrap().rows.len();
+        let opt = run(
             &g,
             "MATCH (a:AS) OPTIONAL MATCH (a)-[:ORIGINATE]-(p:Prefix) RETURN a, p",
             &Params::new(),
@@ -161,7 +166,7 @@ proptest! {
     /// Aggregation partitions: the grouped counts sum to the total.
     #[test]
     fn group_counts_sum_to_total(g in arb_graph()) {
-        let total = query(
+        let total = run(
             &g,
             "MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) RETURN count(*)",
             &Params::new(),
@@ -169,7 +174,7 @@ proptest! {
         .unwrap()
         .single_int()
         .unwrap();
-        let grouped = query(
+        let grouped = run(
             &g,
             "MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) RETURN a.tier, count(*) AS c",
             &Params::new(),
@@ -186,8 +191,8 @@ proptest! {
     /// SKIP n + LIMIT m slices the ordered result consistently.
     #[test]
     fn skip_limit_slices(g in arb_graph(), skip in 0usize..6, limit in 0usize..6) {
-        let all = query(&g, "MATCH (a:AS) RETURN a.asn AS x ORDER BY x", &Params::new()).unwrap();
-        let sliced = query(
+        let all = run(&g, "MATCH (a:AS) RETURN a.asn AS x ORDER BY x", &Params::new()).unwrap();
+        let sliced = run(
             &g,
             &format!("MATCH (a:AS) RETURN a.asn AS x ORDER BY x SKIP {skip} LIMIT {limit}"),
             &Params::new(),

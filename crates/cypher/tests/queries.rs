@@ -1,7 +1,12 @@
 //! End-to-end query tests, including the paper's listings.
 
-use iyp_cypher::{query, Params, RtVal};
+use iyp_cypher::{CypherError, Params, ResultSet, RtVal, Statement};
 use iyp_graph::{props, Graph, Props, Value};
+
+/// Runs a read query through a prepared [`Statement`].
+fn run_with(g: &Graph, q: &str, params: &Params) -> Result<ResultSet, CypherError> {
+    Statement::prepare(q)?.params(params).run(g)
+}
 
 /// Builds the toy graph from Figure 2 of the paper: two ASes, two
 /// prefixes (one MOAS), plus organisation and tag trimmings.
@@ -71,7 +76,7 @@ fn figure2_graph() -> Graph {
 }
 
 fn run(g: &Graph, q: &str) -> iyp_cypher::ResultSet {
-    query(g, q, &Params::new()).unwrap()
+    run_with(g, q, &Params::new()).unwrap()
 }
 
 fn strings(rs: &iyp_cypher::ResultSet, col: usize) -> Vec<String> {
@@ -252,7 +257,7 @@ fn unwind_with_params() {
         "asns".into(),
         Value::List(vec![Value::Int(1), Value::Int(3)]),
     );
-    let rs = query(
+    let rs = run_with(
         &g,
         "UNWIND $asns AS a MATCH (n:AS {asn: a}) RETURN n.asn ORDER BY n.asn",
         &params,
@@ -520,11 +525,11 @@ fn long_chain_pattern() {
 #[test]
 fn errors_are_reported() {
     let g = Graph::new();
-    assert!(query(&g, "MATCH (n RETURN n", &Params::new()).is_err());
+    assert!(run_with(&g, "MATCH (n RETURN n", &Params::new()).is_err());
     // Evaluation errors surface only on rows that actually evaluate
     // (unlike Neo4j's semantic compile pass), so force a row with UNWIND.
-    assert!(query(&g, "UNWIND [1] AS x RETURN undefined_var", &Params::new()).is_err());
-    assert!(query(&g, "UNWIND [1] AS x RETURN bogusfn(x)", &Params::new()).is_err());
+    assert!(run_with(&g, "UNWIND [1] AS x RETURN undefined_var", &Params::new()).is_err());
+    assert!(run_with(&g, "UNWIND [1] AS x RETURN bogusfn(x)", &Params::new()).is_err());
 }
 
 #[test]

@@ -1,9 +1,11 @@
-//! The prepared-Statement API: builder semantics, shim equivalence,
-//! cache-hit timeout behavior, and `PROFILE`'s `cache=hit|miss`
-//! annotation.
+//! The prepared-Statement API: builder semantics, cache-hit timeout
+//! behavior, `PROFILE`'s `cache=hit|miss` annotation, and that the
+//! plan `EXPLAIN` prints is the plan `PROFILE` reports running.
 
-use iyp_cypher::{query, Cancel, Params, QueryCache, Statement};
+use iyp_cypher::{Cancel, Params, PlanNode, QueryCache, Statement};
 use iyp_graph::{props, Graph, Props, Value};
+use iyp_studies::{compare, dns_robustness, insights, ripki, spof};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 fn sample_graph() -> Graph {
@@ -22,18 +24,22 @@ fn sample_graph() -> Graph {
 }
 
 #[test]
-fn statement_run_matches_the_free_function() {
+fn statement_runs_with_params() {
     let g = sample_graph();
     let mut params = Params::new();
     params.insert("t".to_string(), Value::Int(1));
     let q = "MATCH (a:AS) WHERE a.tier >= $t RETURN a.asn ORDER BY a.asn";
-    let via_statement = Statement::prepare(q)
+    let rs = Statement::prepare(q)
         .unwrap()
         .params(&params)
         .run(&g)
         .unwrap();
-    let via_free_fn = query(&g, q, &params).unwrap();
-    assert_eq!(via_statement, via_free_fn);
+    let asns: Vec<i64> = rs
+        .rows
+        .iter()
+        .map(|r| r[0].as_scalar().unwrap().as_int().unwrap())
+        .collect();
+    assert_eq!(asns, [2497, 64496]);
 }
 
 #[test]
@@ -51,12 +57,21 @@ fn prepare_reports_parse_errors() {
 }
 
 #[test]
-fn explain_and_profile_match_free_functions() {
+fn explain_mode_returns_the_rendered_plan() {
     let g = sample_graph();
     let q = "MATCH (a:AS)-[:ORIGINATE]->(p:Prefix) RETURN count(*)";
     let stmt = Statement::prepare(q).unwrap();
     let plan = stmt.explain(&g);
-    assert_eq!(plan.render(), iyp_cypher::explain(&g, q).unwrap().render());
+    let text = Statement::prepare(&format!("EXPLAIN {q}"))
+        .unwrap()
+        .run(&g)
+        .unwrap();
+    let lines: Vec<&str> = text
+        .rows
+        .iter()
+        .map(|r| r[0].as_scalar().unwrap().as_str().unwrap())
+        .collect();
+    assert_eq!(lines, plan.render_lines());
     let (rows, profiled) = stmt.profile(&g).unwrap();
     assert_eq!(rows.single_int(), Some(3));
     assert!(profiled.render().contains("rows="), "{}", profiled.render());
@@ -189,4 +204,180 @@ fn different_params_occupy_different_cache_entries() {
         .run(&g)
         .unwrap();
     assert_eq!(again, r1);
+}
+
+// ----------------------------------------------------------------------
+// The plan is what ran
+// ----------------------------------------------------------------------
+
+/// The tiny seed-42 knowledge graph: every dataset, refinement included.
+fn tiny() -> &'static Graph {
+    static CELL: OnceLock<Graph> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let world = iyp_simnet::World::generate(&iyp_simnet::SimConfig::tiny(), 42);
+        iyp_pipeline::build_graph(&world, &iyp_pipeline::BuildOptions::default())
+            .expect("build")
+            .0
+    })
+}
+
+const LISTING_3: &str = "
+    MATCH (org:Organization)-[:MANAGED_BY]-(:AS)-[:ORIGINATE]-(pfx:Prefix)-[:CATEGORIZED]-(:Tag {label:'RPKI Valid'})
+    WHERE org.name = 'CERN'
+    MATCH (pfx)-[:PART_OF]-(:IP)-[:RESOLVES_TO {reference_name:'openintel.tranco1m'}]-(h:HostName)
+    RETURN distinct h.name";
+
+/// `WITH` drops `a`, so the second `MATCH` must scan for it again.
+const WITH_RESCOPES: &str = "
+    MATCH (a:AS) WITH count(a) AS c
+    MATCH (a:AS)-[:ORIGINATE]-(p:Prefix) RETURN c, count(p)";
+
+/// The paper's listings, every study query, and the two queries whose
+/// descriptions once drifted from what ran.
+const PLANNED: [&str; 20] = [
+    "MATCH (x:AS)-[:ORIGINATE]-(:Prefix) RETURN DISTINCT x.asn",
+    "MATCH (x:AS)-[:ORIGINATE]-(p:Prefix)-[:ORIGINATE]-(y:AS) WHERE x.asn <> y.asn RETURN DISTINCT p.prefix",
+    LISTING_3,
+    "MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(:DomainName)-[:PART_OF]-(:HostName)\
+           -[:RESOLVES_TO]-(:IP)-[:PART_OF]-(pfx:Prefix)-[:CATEGORIZED]-(t:Tag)
+     WHERE t.label STARTS WITH 'RPKI Invalid' RETURN count(DISTINCT pfx)",
+    "MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)\
+           -[:MANAGED_BY]-(a:AuthoritativeNameServer)-[:RESOLVES_TO]-(i:IP {af:4})
+     RETURN d.name, a.name, collect(DISTINCT i.ip)",
+    "MATCH (r:Ranking {name: 'Tranco top 1M'})-[:RANK]-(d:DomainName)-[:MANAGED_BY]-(a:AuthoritativeNameServer)\
+           -[:RESOLVES_TO]-(i:IP {af:4})-[:PART_OF]-(pfx:Prefix)
+     RETURN d, COLLECT(DISTINCT pfx)",
+    compare::Q_ORIGIN_DISAGREEMENT,
+    dns_robustness::Q_DOMAIN_NS_IPS,
+    dns_robustness::Q_NS_BGP_PREFIXES,
+    insights::Q_DOMAIN_NS_PREFIXES,
+    insights::Q_DOMAIN_WEB_PREFIXES,
+    insights::Q_CDN_PREFIXES,
+    ripki::Q_DOMAIN_PREFIXES,
+    ripki::Q_PREFIX_RPKI,
+    ripki::Q_TAGGED_AS_PREFIXES,
+    spof::Q_DEPENDENCY_EDGES,
+    spof::Q_ZONE_HOSTING,
+    spof::Q_RANKED_DOMAINS,
+    WITH_RESCOPES,
+    "MATCH (a:AS) WHERE EXISTS { MATCH (a)-[:ORIGINATE]-(:Prefix) } RETURN count(a)",
+];
+
+const ACCESS_OPS: [&str; 4] = [
+    "BoundVariable",
+    "NodeIndexSeek",
+    "NodeByLabelScan",
+    "AllNodesScan",
+];
+
+fn access_ops(plan: &PlanNode) -> Vec<(&str, &str)> {
+    plan.flatten()
+        .into_iter()
+        .filter(|n| ACCESS_OPS.contains(&n.op.as_str()))
+        .map(|n| (n.op.as_str(), n.detail.as_str()))
+        .collect()
+}
+
+fn profile(q: &str) -> PlanNode {
+    let mut params = Params::new();
+    params.insert("ranking".into(), Value::Str("Tranco top 1M".into()));
+    Statement::prepare(q)
+        .unwrap()
+        .params(&params)
+        .no_cache()
+        .profile(tiny())
+        .unwrap()
+        .1
+}
+
+#[test]
+fn profile_annotates_exactly_the_operators_explain_prints() {
+    let g = tiny();
+    for q in PLANNED {
+        let explained = Statement::prepare(q).unwrap().explain(g);
+        let profiled = profile(q);
+        let rendered = profiled.render();
+        let ops = |p: &PlanNode| -> Vec<(String, String)> {
+            p.flatten()
+                .iter()
+                .map(|n| (n.op.clone(), n.detail.clone()))
+                .collect()
+        };
+        assert_eq!(ops(&explained), ops(&profiled), "{q}\n{rendered}");
+        assert!(!access_ops(&explained).is_empty(), "{q}");
+        assert!(explained.flatten().iter().all(|n| n.rows.is_none()), "{q}");
+        // Every operator ran, so every operator reports its rows.
+        assert!(
+            profiled.flatten().iter().all(|n| n.rows.is_some()),
+            "{q}\n{rendered}"
+        );
+        // A linear chain: each operator's only child is its input.
+        assert!(profiled.flatten().iter().all(|n| n.children.len() <= 1));
+    }
+}
+
+#[test]
+fn with_drops_variables_so_the_next_match_scans() {
+    let g = tiny();
+    let ases = Statement::prepare("MATCH (a:AS) RETURN count(a)")
+        .unwrap()
+        .run(g)
+        .unwrap()
+        .single_int()
+        .unwrap() as u64;
+    let explained = Statement::prepare(WITH_RESCOPES).unwrap().explain(g);
+    let access = access_ops(&explained);
+    assert!(
+        access.iter().all(|(op, _)| *op == "NodeByLabelScan"),
+        "{}",
+        explained.render()
+    );
+    // Both scans ran over every AS: the first from the empty row, the
+    // second from the one row `WITH` left.
+    let profiled = profile(WITH_RESCOPES);
+    let scans: Vec<Option<u64>> = profiled
+        .flatten()
+        .iter()
+        .filter(|n| n.op == "NodeByLabelScan")
+        .map(|n| n.rows)
+        .collect();
+    assert_eq!(scans, [Some(ases), Some(ases)], "{}", profiled.render());
+}
+
+#[test]
+fn explain_prints_full_patterns_with_relationship_properties() {
+    let plan = Statement::prepare(LISTING_3).unwrap().explain(tiny());
+    let text = plan.render();
+    assert!(
+        text.contains("[:RESOLVES_TO {reference_name: 'openintel.tranco1m'}]"),
+        "{text}"
+    );
+    assert!(text.contains("(:Tag {label: 'RPKI Valid'})"), "{text}");
+    // The second MATCH anchors on the `pfx` the first one bound.
+    assert!(
+        access_ops(&plan).contains(&("BoundVariable", "pfx")),
+        "{text}"
+    );
+}
+
+#[test]
+fn profile_records_parallel_stages_on_their_operator() {
+    // Force every stage parallel; results are thread-count independent,
+    // so other tests running meanwhile are unaffected.
+    iyp_cypher::set_threads(4);
+    iyp_cypher::set_min_partition(1);
+    let plan = profile("MATCH (a:AS) WHERE a.asn > 0 RETURN count(*)");
+    iyp_cypher::set_threads(0);
+    iyp_cypher::set_min_partition(iyp_cypher::par::DEFAULT_MIN_PARTITION);
+    let filter = plan.find("Filter").expect("filter");
+    assert_eq!(filter.parallelism, Some(4), "{}", plan.render());
+    let chunks = filter.chunk_rows.clone().expect("chunk rows");
+    assert_eq!(chunks.len(), 4);
+    assert_eq!(Some(chunks.iter().sum::<u64>()), filter.rows);
+    let rendered = plan.render();
+    assert!(rendered.contains("par=4 chunks="), "{rendered}");
+    // The scan's own row count sits on the scan.
+    let scan = plan.find("NodeByLabelScan").expect("scan");
+    assert!(scan.rows >= filter.rows, "{rendered}");
+    assert_eq!(plan.rows, Some(1));
 }

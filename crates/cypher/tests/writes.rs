@@ -1,14 +1,19 @@
 //! Write-query tests: CREATE / MERGE / SET / DELETE.
 
-use iyp_cypher::{query, query_write, Params};
+use iyp_cypher::{query_write, CypherError, Params, ResultSet, Statement};
 use iyp_graph::{Graph, Props};
+
+/// Runs a read query through a prepared [`Statement`].
+fn run(g: &Graph, q: &str, params: &Params) -> Result<ResultSet, CypherError> {
+    Statement::prepare(q)?.params(params).run(g)
+}
 
 fn write(g: &mut Graph, q: &str) -> iyp_cypher::WriteSummary {
     query_write(g, q, &Params::new()).unwrap().1
 }
 
 fn count(g: &Graph, q: &str) -> i64 {
-    query(g, q, &Params::new()).unwrap().single_int().unwrap()
+    run(g, q, &Params::new()).unwrap().single_int().unwrap()
 }
 
 #[test]
@@ -17,7 +22,7 @@ fn create_node_with_props() {
     let s = write(&mut g, "CREATE (a:AS {asn: 2497, name: 'IIJ'})");
     assert_eq!(s.nodes_created, 1);
     assert_eq!(count(&g, "MATCH (a:AS {asn: 2497}) RETURN count(a)"), 1);
-    let rs = query(&g, "MATCH (a:AS) RETURN a.name", &Params::new()).unwrap();
+    let rs = run(&g, "MATCH (a:AS) RETURN a.name", &Params::new()).unwrap();
     assert_eq!(rs.rows[0][0].as_scalar().unwrap().as_str(), Some("IIJ"));
 }
 
@@ -113,7 +118,7 @@ fn set_updates_nodes_and_rels() {
     );
     assert_eq!(s.props_set, 3);
     assert_eq!(count(&g, "MATCH (p:Prefix {af: 4}) RETURN count(p)"), 1);
-    let rs = query(
+    let rs = run(
         &g,
         "MATCH (:AS)-[r:ORIGINATE]->(:Prefix) RETURN r.weight",
         &Params::new(),
@@ -127,7 +132,7 @@ fn set_reads_pre_update_state() {
     let mut g = Graph::new();
     write(&mut g, "CREATE (a:AS {asn: 1, x: 10})");
     write(&mut g, "MATCH (a:AS) SET a.x = a.x + 1, a.y = a.x");
-    let rs = query(&g, "MATCH (a:AS) RETURN a.x, a.y", &Params::new()).unwrap();
+    let rs = run(&g, "MATCH (a:AS) RETURN a.x, a.y", &Params::new()).unwrap();
     assert_eq!(rs.rows[0][0].as_scalar().unwrap().as_int(), Some(11));
     // y sees the pre-SET value of x.
     assert_eq!(rs.rows[0][1].as_scalar().unwrap().as_int(), Some(10));
@@ -182,7 +187,7 @@ fn unwind_create_bulk_load() {
 #[test]
 fn write_clauses_rejected_by_read_api() {
     let g = Graph::new();
-    assert!(query(&g, "CREATE (:AS {asn: 1})", &Params::new()).is_err());
+    assert!(run(&g, "CREATE (:AS {asn: 1})", &Params::new()).is_err());
 }
 
 #[test]
@@ -229,4 +234,51 @@ fn write_query_needs_no_return() {
     // A pure read query with no RETURN still fails to parse.
     assert!(query_write(&mut g, "MATCH (a:AS)", &Params::new()).is_err());
     let _ = Props::new();
+}
+
+#[test]
+fn exists_subqueries_work_in_write_queries() {
+    let mut g = Graph::new();
+    write(
+        &mut g,
+        "CREATE (:AS {asn: 1})-[:ORIGINATE]->(:Prefix {prefix: '192.0.2.0/24'})",
+    );
+    write(&mut g, "CREATE (:AS {asn: 2})");
+    let (_, summary) = query_write(
+        &mut g,
+        "MATCH (a:AS) WHERE EXISTS { MATCH (a)-[:ORIGINATE]->(:Prefix) } SET a.origin = true",
+        &Params::new(),
+    )
+    .unwrap();
+    assert_eq!(summary.props_set, 1);
+    let rs = run(
+        &g,
+        "MATCH (a:AS) WHERE a.origin RETURN a.asn",
+        &Params::new(),
+    )
+    .unwrap();
+    assert_eq!(rs.single_int(), Some(1));
+}
+
+#[test]
+fn values_nested_too_deep_to_recover_are_refused_before_writing() {
+    let mut g = Graph::new();
+    write(&mut g, "CREATE (:AS {asn: 1})");
+    let epoch = g.epoch();
+    // One list level per WITH: the query text stays shallow while the
+    // value grows past what snapshot and journal decoding accept.
+    let mut q = String::from("MATCH (a:AS) WITH a, 0 AS v");
+    for _ in 0..=iyp_graph::MAX_VALUE_DEPTH {
+        q.push_str(" WITH a, collect(v) AS v");
+    }
+    for tail in [" SET a.deep = v", " CREATE (:Tag {label: 'x', deep: v})"] {
+        let err = query_write(&mut g, &format!("{q}{tail}"), &Params::new()).unwrap_err();
+        assert!(err.to_string().contains("nesting too deep"), "{err}");
+    }
+    assert_eq!(g.epoch(), epoch, "a refused write must not mutate");
+    // One level less is stored, and survives a snapshot round trip.
+    let shallow = q.replacen(" WITH a, collect(v) AS v", "", 1);
+    write(&mut g, &format!("{shallow} SET a.deep = v"));
+    let bytes = iyp_graph::snapshot::to_binary(&g);
+    assert!(iyp_graph::snapshot::from_binary(&bytes).is_ok());
 }

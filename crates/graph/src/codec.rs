@@ -7,7 +7,7 @@
 //! input can make decoding panic.
 
 use crate::error::GraphError;
-use crate::value::{Props, Value};
+use crate::value::{Props, Value, MAX_VALUE_DEPTH};
 
 /// A bounds-checked cursor over a byte slice.
 #[derive(Debug)]
@@ -82,8 +82,14 @@ impl<'a> Reader<'a> {
             .map_err(|e| GraphError::Snapshot(format!("{what}: {e}")))
     }
 
-    /// A tagged [`Value`] (see [`put_value`]).
+    /// A tagged [`Value`] (see [`put_value`]). Lists nested deeper than
+    /// [`MAX_VALUE_DEPTH`] are refused, so crafted input cannot recurse
+    /// the decoder off the stack.
     pub fn value(&mut self) -> Result<Value, GraphError> {
+        self.value_at(0)
+    }
+
+    fn value_at(&mut self, depth: usize) -> Result<Value, GraphError> {
         match self.u8("value tag")? {
             0 => Ok(Value::Null),
             1 => Ok(Value::Bool(self.u8("bool")? != 0)),
@@ -91,12 +97,15 @@ impl<'a> Reader<'a> {
             3 => Ok(Value::Float(self.f64("float")?)),
             4 => Ok(Value::Str(self.str("string")?)),
             5 => {
+                if depth == MAX_VALUE_DEPTH {
+                    return Err(GraphError::Snapshot("value nesting too deep".into()));
+                }
                 let n = self.u32("list length")? as usize;
                 // Every element takes at least one byte: a corrupt
                 // length cannot reserve more than the input could hold.
                 let mut l = Vec::with_capacity(n.min(self.remaining()));
                 for _ in 0..n {
-                    l.push(self.value()?);
+                    l.push(self.value_at(depth + 1)?);
                 }
                 Ok(Value::List(l))
             }

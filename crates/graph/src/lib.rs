@@ -35,4 +35,4 @@ pub use op::GraphOp;
 pub use stats::GraphStats;
 pub use store::Graph;
 pub use symbols::{LabelId, PropKeyId, RelTypeId, SymbolTable};
-pub use value::{props, KeyValue, Props, Value};
+pub use value::{props, KeyValue, Props, Value, MAX_VALUE_DEPTH};

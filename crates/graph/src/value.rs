@@ -26,7 +26,22 @@ pub enum Value {
     List(Vec<Value>),
 }
 
+/// The deepest list nesting a stored value may have. Snapshot and
+/// journal decoding recurse once per level, so they refuse anything
+/// deeper (as `value nesting too deep`), and writers refuse to store
+/// it. 128 matches the JSON parser's nesting limit.
+pub const MAX_VALUE_DEPTH: usize = 128;
+
 impl Value {
+    /// List nesting depth: 0 for a scalar, 1 for a flat list, one more
+    /// per nested level.
+    pub fn depth(&self) -> usize {
+        match self {
+            Value::List(items) => 1 + items.iter().map(Value::depth).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
     /// True if the value is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

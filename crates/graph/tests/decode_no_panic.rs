@@ -173,3 +173,57 @@ fn op_batch_truncations_never_panic() {
         assert_eq!(decoded.len() == ops.len(), cut == batch.len(), "cut {cut}");
     }
 }
+
+/// `bytes` with the one encoding of `Value::Str(marker)` replaced by a
+/// list nested `levels` deep — far deeper than any graph could build
+/// (building or dropping such a `Value` would itself overflow).
+fn splice_deep_list(bytes: &[u8], marker: &str, levels: usize) -> Vec<u8> {
+    let mut encoded = Vec::new();
+    iyp_graph::codec::put_value(&mut encoded, &Value::Str(marker.into()));
+    let at = bytes
+        .windows(encoded.len())
+        .position(|w| w == encoded.as_slice())
+        .expect("marker value in the encoding");
+    let mut out = bytes[..at].to_vec();
+    for _ in 0..levels {
+        out.extend_from_slice(&[5, 1, 0, 0, 0]); // a one-element list …
+    }
+    out.push(0); // … of lists, ending in null
+    out.extend_from_slice(&bytes[at + encoded.len()..]);
+    out
+}
+
+#[test]
+fn deeply_nested_snapshot_values_are_rejected() {
+    let mut g = small_graph();
+    let n = g.all_nodes().next().unwrap().id;
+    g.set_node_prop(n, "deep", Value::Str("deep-marker".into()))
+        .unwrap();
+    let full = snapshot::to_binary(&g);
+    let err = snapshot::from_binary(&splice_deep_list(&full, "deep-marker", 1_000_000))
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("value nesting too deep"), "{err}");
+    // The limit itself still loads.
+    let ok = splice_deep_list(&full, "deep-marker", iyp_graph::MAX_VALUE_DEPTH);
+    assert!(snapshot::from_binary(&ok).is_ok());
+}
+
+#[test]
+fn deeply_nested_op_values_are_rejected() {
+    let op = GraphOp::SetNodeProp {
+        node: NodeId(0),
+        key: "deep".into(),
+        value: Value::Str("deep-marker".into()),
+    };
+    let mut frame = Vec::new();
+    encode_op(&mut frame, &op);
+    let deep = splice_deep_list(&frame, "deep-marker", 1_000_000);
+    let err = decode_op(&mut Reader::new(&deep)).unwrap_err().to_string();
+    assert!(err.contains("value nesting too deep"), "{err}");
+    let ok = splice_deep_list(&frame, "deep-marker", iyp_graph::MAX_VALUE_DEPTH);
+    let GraphOp::SetNodeProp { value, .. } = decode_op(&mut Reader::new(&ok)).unwrap() else {
+        panic!("decoded a different op")
+    };
+    assert_eq!(value.depth(), iyp_graph::MAX_VALUE_DEPTH);
+}

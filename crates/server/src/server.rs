@@ -6,7 +6,7 @@ use iyp_graph::{Graph, GraphStats};
 use iyp_journal::DurableGraph;
 use serde_json::json;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -290,26 +290,44 @@ fn handle_connection(
     let mut reader = BufReader::new(stream);
 
     loop {
-        let mut read = String::new();
-        match reader.read_line(&mut read) {
+        // Read at most one byte past the cap, so an endless line costs
+        // at most MAX_REQUEST_BYTES of memory before it is refused.
+        let mut line = Vec::new();
+        match (&mut reader)
+            .take(MAX_REQUEST_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) => return Ok(()), // EOF
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
             Err(e) => return Err(e),
         }
-        if read.len() > MAX_REQUEST_BYTES {
+        if line.len() > MAX_REQUEST_BYTES {
             // Oversized lines kill the connection: the rest of the
             // line is still in flight and can't be resynchronised.
             let err = ProtoError::TooLarge {
-                len: read.len(),
+                len: line.len(),
                 max: MAX_REQUEST_BYTES,
             };
             let resp = Response::Error(err.to_string());
             writer.write_all(resp.to_line().as_bytes())?;
             writer.write_all(b"\n")?;
             writer.flush()?;
+            // Closing with unread input would reset the connection and
+            // could discard the reply: send it, then discard what the
+            // client still sends (bounded in time and bytes).
+            writer.shutdown(std::net::Shutdown::Write)?;
+            reader
+                .get_ref()
+                .set_read_timeout(Some(Duration::from_secs(1)))?;
+            let _ = std::io::copy(
+                &mut reader.take(16 * MAX_REQUEST_BYTES as u64),
+                &mut std::io::sink(),
+            );
             return Ok(());
         }
+        let read = String::from_utf8(line)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         served.fetch_add(1, Ordering::SeqCst);
         let response = match Command::from_line(&read) {
             Ok(Command::Ping) => Response::Pong,

@@ -263,3 +263,53 @@ fn oversized_lines_are_rejected_with_structured_error() {
     assert!(msg.starts_with("request_too_large:"), "{msg}");
     server.stop();
 }
+
+#[test]
+fn hostile_query_nesting_gets_an_error_and_the_server_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let (mut server, addr) = start();
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    // A 6 KB request whose query nests 3000 list levels: deeper than
+    // the parser builds, far shallower than the JSON line limit.
+    let deep = format!("RETURN {}1{}", "[".repeat(3000), "]".repeat(3000));
+    let line = Request::new(&deep).to_line();
+    assert!(line.len() < 7_000, "{}", line.len());
+    stream.write_all(line.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    let Response::Error(msg) = Response::from_line(reply.trim()).unwrap() else {
+        panic!("expected error, got {reply}")
+    };
+    assert!(msg.contains("deeper than 128"), "{msg}");
+    let mut client = Client::connect(addr).expect("server still accepts");
+    assert!(client.ping().unwrap());
+    server.stop();
+}
+
+#[test]
+fn newline_free_stream_over_the_cap_is_refused_promptly() {
+    use std::io::{BufRead, BufReader, Write};
+    let (mut server, addr) = start();
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    let started = std::time::Instant::now();
+    // More than the 1 MiB cap, and no newline the server could wait for.
+    stream
+        .write_all(&vec![b'x'; (1 << 20) + (64 << 10)])
+        .unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "reply took {:?}",
+        started.elapsed()
+    );
+    let Response::Error(msg) = Response::from_line(reply.trim()).unwrap() else {
+        panic!("expected error, got {reply:?}")
+    };
+    assert!(msg.starts_with("request_too_large:"), "{msg}");
+    server.stop();
+}

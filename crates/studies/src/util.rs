@@ -1,17 +1,19 @@
 //! Shared helpers for the studies.
 
-use iyp_cypher::{query, Params, ResultSet, RtVal};
+use iyp_cypher::{Params, ResultSet, RtVal, Statement};
 use iyp_graph::Graph;
 
 /// Runs a query, panicking with the query text on error (studies are
 /// library code over a graph we built; a failure is a programming bug).
 pub fn run(graph: &Graph, q: &str) -> ResultSet {
-    query(graph, q, &Params::new()).unwrap_or_else(|e| panic!("query failed: {e}\n{q}"))
+    run_with(graph, q, &Params::new())
 }
 
 /// Runs a query with parameters.
 pub fn run_with(graph: &Graph, q: &str, params: &Params) -> ResultSet {
-    query(graph, q, params).unwrap_or_else(|e| panic!("query failed: {e}\n{q}"))
+    Statement::prepare(q)
+        .and_then(|s| s.params(params).run(graph))
+        .unwrap_or_else(|e| panic!("query failed: {e}\n{q}"))
 }
 
 /// Extracts a string column value.

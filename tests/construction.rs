@@ -38,11 +38,11 @@ fn parallel_links_keep_dataset_identity() {
     imp.link(a, Relationship::Originate, p, Props::new())
         .unwrap();
 
-    let rs = iyp::cypher::query(
-        &g,
+    let rs = iyp::Statement::prepare(
         "MATCH (:AS)-[r:ORIGINATE]-(:Prefix) RETURN DISTINCT r.reference_name ORDER BY r.reference_name",
-        &Default::default(),
     )
+    .unwrap()
+    .run(&g)
     .unwrap();
     let names: Vec<_> = rs
         .rows
@@ -109,12 +109,10 @@ fn without_refinement_the_links_are_absent() {
     let opts = BuildOptions::only(&[DatasetId::OpenintelTranco1m, DatasetId::BgpkitPfx2as])
         .without_refinement();
     let (g, _) = iyp::pipeline::build_graph(&w, &opts).unwrap();
-    let rs = iyp::cypher::query(
-        &g,
-        "MATCH (:IP)-[:PART_OF]-(:Prefix) RETURN count(*)",
-        &Default::default(),
-    )
-    .unwrap();
+    let rs = iyp::Statement::prepare("MATCH (:IP)-[:PART_OF]-(:Prefix) RETURN count(*)")
+        .unwrap()
+        .run(&g)
+        .unwrap();
     assert_eq!(rs.single_int(), Some(0));
 }
 
